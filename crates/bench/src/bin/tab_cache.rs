@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use tdess_bench::{standard_corpus, CORPUS_SEED, RESOLUTION};
+use tdess_bench::{quantile, standard_corpus, CORPUS_SEED, RESOLUTION};
 use tdess_core::{bulk_insert, CacheConfig, Query, SearchServer, ShapeDatabase};
 use tdess_eval::render_table;
 use tdess_features::{FeatureExtractor, FeatureKind};
@@ -284,17 +284,6 @@ fn zipf_replay(n: usize, len: usize) -> Vec<usize> {
 
 fn p50(samples: &[f64]) -> f64 {
     quantile(samples, 0.5)
-}
-
-/// Nearest-rank quantile over a copy of the samples.
-fn quantile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let idx = ((sorted.len() as f64 * q).ceil() as usize).saturating_sub(1);
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn mean(samples: &[f64]) -> f64 {

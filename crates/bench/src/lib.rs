@@ -18,6 +18,17 @@ pub const CORPUS_SEED: u64 = 2004;
 /// Voxel resolution used by every experiment.
 pub const RESOLUTION: usize = 48;
 
+/// Nearest-rank `q`-quantile of `samples` (NaN when empty).
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let idx = ((sorted.len() as f64 * q).ceil() as usize).saturating_sub(1);
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Builds the standard 113-shape corpus.
 pub fn standard_corpus() -> Corpus {
     build_corpus(CORPUS_SEED)
