@@ -8,6 +8,7 @@
 //! stored ... then the index is updated").
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet, NormalizeError};
@@ -133,13 +134,29 @@ impl From<NormalizeError> for DbError {
 /// assert_eq!(db.get(hits[0].id).unwrap().name, "box");
 /// # Ok::<(), tdess_core::DbError>(())
 /// ```
+///
+/// # Cloning
+///
+/// Clones share structure. Stored shapes sit behind `Arc`s and the
+/// R-trees share their nodes ([`RTree`] clones are O(1)), so a clone
+/// copies one pointer per shape and never a mesh, a feature vector or
+/// a tree node. Inserting into or removing from either copy then
+/// copies only the tree nodes on the paths it changes; the other copy
+/// is unaffected. This is how [`crate::SearchServer`] derives each new
+/// snapshot from the last.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShapeDatabase {
     extractor: FeatureExtractor,
     next_id: ShapeId,
-    shapes: Vec<StoredShape>,
+    /// In strictly ascending id order: ids are handed out in
+    /// increasing order, removal keeps the order, and loading rejects
+    /// anything else.
+    shapes: Vec<Arc<StoredShape>>,
+    /// `shapes[i].id` for every `i`, kept contiguous so a lookup by id
+    /// is a binary search that never leaves this array. Derived from
+    /// `shapes`, so not serialized.
     #[serde(skip, default)]
-    id_index: HashMap<ShapeId, usize>,
+    ids: Vec<ShapeId>,
     indexes: HashMap<FeatureKind, RTree<ShapeId>>,
     /// Diameter (max pairwise distance) per feature space, maintained
     /// incrementally; normalizes similarity (Eq. 4.4).
@@ -163,7 +180,7 @@ impl ShapeDatabase {
             extractor,
             next_id: 1,
             shapes: Vec::new(),
-            id_index: HashMap::new(),
+            ids: Vec::new(),
             indexes,
             dmax,
         }
@@ -196,14 +213,20 @@ impl ShapeDatabase {
         self.shapes.is_empty()
     }
 
-    /// All stored shapes, in insertion order.
-    pub fn shapes(&self) -> &[StoredShape] {
+    /// All stored shapes, in insertion order (which is ascending id
+    /// order).
+    pub fn shapes(&self) -> &[Arc<StoredShape>] {
         &self.shapes
     }
 
     /// Looks up a shape by id.
     pub fn get(&self, id: ShapeId) -> Option<&StoredShape> {
-        self.id_index.get(&id).map(|&i| &self.shapes[i])
+        self.slot(id).map(|i| &*self.shapes[i])
+    }
+
+    /// Position of `id` in `shapes`, by binary search.
+    fn slot(&self, id: ShapeId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// Current similarity-normalization diameter for a feature space.
@@ -211,16 +234,53 @@ impl ShapeDatabase {
         self.dmax[&kind]
     }
 
-    /// Rebuilds the transient id → slot map (needed after
-    /// deserialization).
-    pub(crate) fn rebuild_id_index(&mut self) {
-        self.id_index = self
-            .shapes
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id, i))
-            // hotpath: allow(hot-alloc) — id-index rebuild runs on remove, not per query
-            .collect();
+    /// Derives the id array from freshly loaded shapes, rejecting ids
+    /// the lookups cannot serve: they must be strictly ascending, and
+    /// below `next_id` so the next insert keeps them ascending.
+    pub(crate) fn index_ids(&mut self) -> Result<(), String> {
+        // hotpath: allow(hot-alloc) — once per load (and formats only to reject one); `load` is on the hot path only by name
+        self.ids = self.shapes.iter().map(|s| s.id).collect();
+        if let Some(w) = self.ids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "shape ids not strictly ascending: {} follows {}",
+                w[1], w[0]
+            ));
+        }
+        match self.ids.last() {
+            Some(&last) if self.next_id <= last => Err(format!(
+                "next_id {} would collide with stored id {last}",
+                self.next_id
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Checks every structural invariant: the id order of
+    /// [`ShapeDatabase::shapes`], and each feature space's R-tree
+    /// ([`RTree::check_invariants`]) holding one entry per stored
+    /// shape. O(n); meant for tests.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut reindexed = self.clone();
+        reindexed.index_ids()?;
+        if reindexed.ids != self.ids {
+            return Err("id array out of step with the stored shapes".into());
+        }
+        for kind in FeatureKind::ALL {
+            let tree = self
+                .indexes
+                .get(&kind)
+                .ok_or_else(|| format!("no index for {kind:?}"))?;
+            tree.check_invariants()
+                .map_err(|e| format!("{kind:?} index: {e}"))?;
+            if tree.len() != self.shapes.len() {
+                return Err(format!(
+                    "{kind:?} index holds {} entries for {} shapes",
+                    tree.len(),
+                    self.shapes.len()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Inserts a mesh: extracts all feature vectors, stores the shape,
@@ -239,18 +299,22 @@ impl ShapeDatabase {
         mesh: TriMesh,
         features: FeatureSet,
     ) -> ShapeId {
-        for kind in FeatureKind::ALL {
-            let v = features.get(kind);
-            // Maintain the diameter incrementally: the new point can
-            // only extend dmax via its distance to existing points.
-            // lint: allow(unwrap) — dmax holds every FeatureKind from new(); keys are never removed
-            let entry = self.dmax.get_mut(&kind).expect("all kinds initialized");
-            for s in &self.shapes {
-                let d = weighted_distance(v, s.features.get(kind), &Weights::unit());
-                if d > *entry {
-                    *entry = d;
+        // Maintain the diameters incrementally: the new point can only
+        // extend a space's dmax via its distance to existing points.
+        // One pass over the shapes serves every space, so each stored
+        // shape is dereferenced once.
+        let mut diameters = FeatureKind::ALL.map(|kind| self.dmax(kind));
+        for s in &self.shapes {
+            for (kind, best) in FeatureKind::ALL.into_iter().zip(diameters.iter_mut()) {
+                let d =
+                    weighted_distance(features.get(kind), s.features.get(kind), &Weights::unit());
+                if d > *best {
+                    *best = d;
                 }
             }
+        }
+        for (kind, d) in FeatureKind::ALL.into_iter().zip(diameters) {
+            self.dmax.insert(kind, d);
         }
         self.insert_indexed(name, mesh, features)
     }
@@ -297,13 +361,13 @@ impl ShapeDatabase {
             .map(|(name, mesh, features)| {
                 let id = self.next_id;
                 self.next_id += 1;
-                self.id_index.insert(id, self.shapes.len());
-                self.shapes.push(StoredShape {
+                self.ids.push(id);
+                self.shapes.push(Arc::new(StoredShape {
                     id,
                     name,
                     mesh,
                     features,
-                });
+                }));
                 id
             })
             .collect();
@@ -363,7 +427,7 @@ impl ShapeDatabase {
     pub(crate) fn from_loaded_parts(
         extractor: FeatureExtractor,
         next_id: ShapeId,
-        shapes: Vec<StoredShape>,
+        shapes: Vec<Arc<StoredShape>>,
         dmax: HashMap<FeatureKind, f64>,
         config: RTreeConfig,
     ) -> Result<ShapeDatabase, String> {
@@ -383,26 +447,15 @@ impl ShapeDatabase {
         // extractor config in `decode_meta` and rejects non-finite
         // values while decoding `FEAT`, so only the cross-cutting
         // invariants are checked here.
-        let mut ids: Vec<ShapeId> = shapes.iter().map(|s| s.id).collect();
-        ids.sort_unstable();
-        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(format!("duplicate shape id {}", w[0]));
-        }
-        let max_id: ShapeId = ids.last().copied().unwrap_or(0);
-        if next_id <= max_id {
-            return Err(format!(
-                "next_id {next_id} would collide with stored id {max_id}"
-            ));
-        }
         let mut db = ShapeDatabase {
             extractor,
             next_id,
             shapes,
-            id_index: HashMap::new(),
+            ids: Vec::new(),
             indexes: HashMap::new(),
             dmax,
         };
-        db.rebuild_id_index();
+        db.index_ids()?;
         db.rebuild_indexes(config);
         Ok(db)
     }
@@ -427,19 +480,21 @@ impl ShapeDatabase {
                 .insert(features.get(kind).to_vec(), id);
         }
 
-        self.id_index.insert(id, self.shapes.len());
-        self.shapes.push(StoredShape {
+        self.ids.push(id);
+        self.shapes.push(Arc::new(StoredShape {
             id,
             name: name.into(),
             mesh,
             features,
-        });
+        }));
         id
     }
 
-    /// Removes a shape from the database and all indexes.
-    pub fn remove(&mut self, id: ShapeId) -> Result<StoredShape, DbError> {
-        let slot = *self.id_index.get(&id).ok_or(DbError::UnknownShape(id))?;
+    /// Removes a shape from the database and all indexes, returning
+    /// it (still shared with any snapshot that holds it).
+    pub fn remove(&mut self, id: ShapeId) -> Result<Arc<StoredShape>, DbError> {
+        let slot = self.slot(id).ok_or(DbError::UnknownShape(id))?;
+        self.ids.remove(slot);
         let shape = self.shapes.remove(slot);
         for kind in FeatureKind::ALL {
             let v = shape.features.get(kind);
@@ -452,7 +507,6 @@ impl ShapeDatabase {
         // Note: dmax is left as an upper bound (recomputing the exact
         // diameter on every delete would be O(n²)); similarity stays
         // well-defined, merely slightly conservative.
-        self.rebuild_id_index();
         Ok(shape)
     }
 

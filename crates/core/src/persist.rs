@@ -20,7 +20,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::db::ShapeDatabase;
-use crate::snapshot::{load_binary_bytes, save_binary, SNAPSHOT_MAGIC};
+use crate::snapshot::{load_binary_bytes, save_binary, SNAPSHOT_MAGIC, STREAM};
 
 /// The file operation a [`PersistError::File`] failure occurred in —
 /// distinguishing a failed temp-file create from a failed fsync or
@@ -90,10 +90,11 @@ pub enum PersistError {
         /// Newest version this build reads.
         supported: u32,
     },
-    /// A binary snapshot failed validation: truncation, checksum
-    /// mismatch, a count past its cap, or decoded data that violates
-    /// database invariants. Names the section so a corrupt file is
-    /// diagnosable from the message alone.
+    /// A snapshot failed validation: truncation, checksum mismatch or
+    /// a count past its cap (binary), or decoded data that violates
+    /// database invariants (either format, section `database`). Names
+    /// the section so a corrupt file is diagnosable from the message
+    /// alone.
     Corrupt {
         /// The file that was read.
         path: std::path::PathBuf,
@@ -196,8 +197,15 @@ pub fn save<W: Write>(db: &ShapeDatabase, w: W) -> Result<(), PersistError> {
 
 /// Deserializes a database from a reader.
 pub fn load<R: Read>(r: R) -> Result<ShapeDatabase, PersistError> {
+    load_json(r, Path::new(STREAM))
+}
+
+/// Deserializes a JSON database, rejecting ids the lookups cannot
+/// serve (`path` is used only in errors).
+fn load_json<R: Read>(r: R, path: &Path) -> Result<ShapeDatabase, PersistError> {
     let mut db: ShapeDatabase = serde_json::from_reader(r)?;
-    db.rebuild_id_index();
+    db.index_ids()
+        .map_err(|reason| corrupt(path, "database", reason))?;
     Ok(db)
 }
 
@@ -315,7 +323,7 @@ pub fn load_from_path(path: &Path) -> Result<ShapeDatabase, PersistError> {
     if bytes.starts_with(&SNAPSHOT_MAGIC) {
         load_binary_bytes(&bytes, path)
     } else {
-        load(&bytes[..])
+        load_json(&bytes[..], path)
     }
 }
 

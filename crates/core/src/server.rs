@@ -12,10 +12,16 @@
 //!   `Arc<ShapeDatabase>` in a critical section of a few instructions
 //!   and then run *entirely lock-free*: feature extraction, one-shot
 //!   search, and multi-step search all execute against an immutable
-//!   snapshot. Writers serialize on a dedicated mutex, clone the
-//!   current snapshot, mutate the clone, and publish it with a
-//!   pointer swap — a search in flight never delays an insert, and an
-//!   insert never delays a search;
+//!   snapshot. Writers serialize on a dedicated mutex, derive the next
+//!   snapshot from the current one, apply the write to it, and
+//!   publish it with a pointer swap — a search in flight never delays
+//!   an insert, and an insert never delays a search. Deriving shares
+//!   structure (see [`ShapeDatabase`]'s "Cloning"): it copies the list
+//!   of shape pointers, and the write then copies only the R-tree
+//!   nodes on the paths it changes — never a mesh, a feature vector or
+//!   an untouched node, so a write costs what it changes rather than
+//!   the size of the database. The replaced snapshot is released after
+//!   the swap, outside the lock readers take;
 //! * [`SearchServer::search_batch`] / [`SearchServer::multi_step_batch`]
 //!   — a batch of query meshes fanned out across worker threads, all
 //!   answered from one consistent snapshot;
@@ -217,11 +223,31 @@ impl SearchServer {
         self.inner.snapshot.read().clone()
     }
 
-    /// Publishes a new snapshot (callers hold the writer mutex).
+    /// Publishes a new snapshot (callers hold the writer mutex). The
+    /// replaced snapshot is dropped on return, after the swap's lock
+    /// is released, so readers never wait while whatever it alone
+    /// owned is freed.
     fn publish(&self, db: ShapeDatabase) {
-        *self.inner.snapshot.write() = Arc::new(db);
+        let next = Arc::new(db);
+        let _previous = std::mem::replace(&mut *self.inner.snapshot.write(), next);
         // hotpath: allow(hot-block) — one-line critical section swapping the published snapshot
         self.inner.metrics.lock().snapshot_swaps += 1;
+    }
+
+    /// The write path: under the writer mutex, derive the next
+    /// snapshot from the current one, `apply` the write to it, and
+    /// publish it if `apply` succeeds.
+    fn derive_and_publish<R>(
+        &self,
+        apply: impl FnOnce(&mut ShapeDatabase) -> Result<R, DbError>,
+    ) -> Result<R, DbError> {
+        // hotpath: allow(hot-block) — write-lock guards the single-writer database update
+        let _writer = self.inner.writer.lock();
+        // hotpath: allow(hot-alloc) — derives the next snapshot: copies the shape pointer list, shares every tree node
+        let mut db = (*self.snapshot()).clone();
+        let out = apply(&mut db)?;
+        self.publish(db);
+        Ok(out)
     }
 
     fn record(&self, class: QueryClass, elapsed: Duration, stats: &QueryStats) {
@@ -282,10 +308,22 @@ impl SearchServer {
     /// Runs a one-shot search against the current snapshot. No lock
     /// is held during extraction or search.
     pub fn search_mesh(&self, mesh: &TriMesh, query: &Query) -> Result<Vec<SearchHit>, DbError> {
-        let snap = self.snapshot();
+        self.search_mesh_on(&self.snapshot(), mesh, query)
+    }
+
+    /// [`SearchServer::search_mesh`] against a snapshot the caller
+    /// took with [`SearchServer::snapshot`] and keeps, so the hits can
+    /// be resolved (names, meshes) against the database they came
+    /// from, whatever writers publish meanwhile.
+    pub fn search_mesh_on(
+        &self,
+        snap: &ShapeDatabase,
+        mesh: &TriMesh,
+        query: &Query,
+    ) -> Result<Vec<SearchHit>, DbError> {
         // determinism: allow(time-taint) — t0 feeds the query-class latency histograms only; search hits carry no clock values
         let t0 = Instant::now();
-        let features = self.extract_timed(&snap, mesh)?;
+        let features = self.extract_timed(snap, mesh)?;
         let mut stats = QueryStats::default();
         let hits = snap.search_with_stats(&features, query, &mut stats);
         self.record(QueryClass::OneShot, t0.elapsed(), &stats);
@@ -295,7 +333,17 @@ impl SearchServer {
     /// Runs a one-shot search with already-extracted query features
     /// against the current snapshot.
     pub fn search_features(&self, features: &FeatureSet, query: &Query) -> Vec<SearchHit> {
-        let snap = self.snapshot();
+        self.search_features_on(&self.snapshot(), features, query)
+    }
+
+    /// [`SearchServer::search_features`] against a snapshot the caller
+    /// holds (see [`SearchServer::search_mesh_on`]).
+    pub fn search_features_on(
+        &self,
+        snap: &ShapeDatabase,
+        features: &FeatureSet,
+        query: &Query,
+    ) -> Vec<SearchHit> {
         let t0 = Instant::now();
         let mut stats = QueryStats::default();
         let hits = snap.search_with_stats(features, query, &mut stats);
@@ -310,12 +358,22 @@ impl SearchServer {
         mesh: &TriMesh,
         plan: &MultiStepPlan,
     ) -> Result<Vec<SearchHit>, DbError> {
-        let snap = self.snapshot();
+        self.multi_step_mesh_on(&self.snapshot(), mesh, plan)
+    }
+
+    /// [`SearchServer::multi_step_mesh`] against a snapshot the caller
+    /// holds (see [`SearchServer::search_mesh_on`]).
+    pub fn multi_step_mesh_on(
+        &self,
+        snap: &ShapeDatabase,
+        mesh: &TriMesh,
+        plan: &MultiStepPlan,
+    ) -> Result<Vec<SearchHit>, DbError> {
         // determinism: allow(time-taint) — t0 feeds the query-class latency histograms only; search hits carry no clock values
         let t0 = Instant::now();
-        let features = self.extract_timed(&snap, mesh)?;
+        let features = self.extract_timed(snap, mesh)?;
         let mut stats = QueryStats::default();
-        let hits = multi_step_search_with_stats(&snap, &features, plan, &mut stats);
+        let hits = multi_step_search_with_stats(snap, &features, plan, &mut stats);
         self.record(QueryClass::MultiStep, t0.elapsed(), &stats);
         Ok(hits)
     }
@@ -433,30 +491,19 @@ impl SearchServer {
     }
 
     /// Inserts a shape. Extraction runs before the writer lock is
-    /// taken; the writer then clones the current snapshot, applies
-    /// the insert, and publishes the new snapshot with a pointer
-    /// swap. In-flight searches keep their old snapshot.
+    /// taken; the writer then derives the next snapshot from the
+    /// current one, applies the insert, and publishes it with a
+    /// pointer swap. In-flight searches keep their old snapshot.
     pub fn insert(&self, name: impl Into<String>, mesh: TriMesh) -> Result<ShapeId, DbError> {
         let extractor = *self.snapshot().extractor();
         let features = extractor.extract(&mesh).map_err(DbError::Extraction)?;
-        // hotpath: allow(hot-block) — write-lock guards the single-writer database update
-        let _writer = self.inner.writer.lock();
-        // hotpath: allow(hot-alloc) — the database stores an owned copy of the inserted shape
-        let mut db = (*self.snapshot()).clone();
-        let id = db.insert_precomputed(name, mesh, features);
-        self.publish(db);
-        Ok(id)
+        self.derive_and_publish(|db| Ok(db.insert_precomputed(name, mesh, features)))
     }
 
-    /// Removes a shape via the same clone-and-publish write path.
+    /// Removes a shape via the same derive-and-publish write path. A
+    /// failed remove publishes nothing.
     pub fn remove(&self, id: ShapeId) -> Result<(), DbError> {
-        // hotpath: allow(hot-block) — write-lock guards the single-writer database update
-        let _writer = self.inner.writer.lock();
-        // hotpath: allow(hot-alloc) — removal returns the evicted entry to the caller
-        let mut db = (*self.snapshot()).clone();
-        db.remove(id)?;
-        self.publish(db);
-        Ok(())
+        self.derive_and_publish(|db| db.remove(id).map(|_| ()))
     }
 
     /// Number of stored shapes in the current snapshot.

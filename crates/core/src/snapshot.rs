@@ -51,11 +51,12 @@
 //! it (same policy as the OFF loader in `tdess-geom`), and the decoded
 //! parts pass through the same validation the JSON path applies
 //! (R-tree config via `RTreeConfig::validate`, feature dimensions,
-//! finiteness, id uniqueness) before a database is produced.
+//! finiteness, strictly ascending ids) before a database is produced.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
 use tdess_geom::io::{MAX_MESH_FACES, MAX_MESH_VERTICES};
@@ -235,7 +236,7 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
 
 /// Path used in errors from the writer/reader-level entry points,
 /// where no file is involved.
-const STREAM: &str = "<stream>";
+pub(crate) const STREAM: &str = "<stream>";
 
 /// Serializes the database to a writer in the binary snapshot format.
 ///
@@ -523,7 +524,7 @@ fn decode_shapes(
     payload: &[u8],
     shape_count: usize,
     path: &Path,
-) -> Result<Vec<StoredShape>, PersistError> {
+) -> Result<Vec<Arc<StoredShape>>, PersistError> {
     let mut cur = Cur::new(payload, "SHPS", path);
     // shape_count was capped against MAX_SNAPSHOT_SHAPES in META, and
     // is re-bounded here where the allocation it sizes lives.
@@ -579,7 +580,7 @@ fn decode_shapes(
             }
             triangles.push(t);
         }
-        shapes.push(StoredShape {
+        shapes.push(Arc::new(StoredShape {
             id,
             name,
             mesh: TriMesh {
@@ -587,17 +588,19 @@ fn decode_shapes(
                 triangles,
             },
             features: empty_feature_set(),
-        });
+        }));
     }
     cur.done()?;
     Ok(shapes)
 }
 
-/// Fills `shapes[i].features` from the fixed-stride `FEAT` arrays.
+/// Fills `shapes[i].features` from the fixed-stride `FEAT` arrays. The
+/// shapes are the unshared records [`decode_shapes`] just allocated,
+/// filled in place so no second copy of them is ever built.
 fn decode_features(
     payload: &[u8],
     declared_sum: u64,
-    shapes: &mut [StoredShape],
+    shapes: &mut [Arc<StoredShape>],
     dims: &[usize],
     path: &Path,
 ) -> Result<(), PersistError> {
@@ -621,6 +624,9 @@ fn decode_features(
         let block_end = cur.pos.saturating_add(block_len).min(payload.len());
         sum.absorb(&payload[cur.pos..block_end]);
         for shape in shapes.iter_mut() {
+            let Some(shape) = Arc::get_mut(shape) else {
+                return Err(corrupt(path, "FEAT", "shape record shared during decode"));
+            };
             let v = cur.f64_vec(dim)?;
             // Finiteness is checked here, while the freshly decoded
             // values are cache-hot, instead of in a second pass over

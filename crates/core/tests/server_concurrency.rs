@@ -192,3 +192,46 @@ fn concurrent_stress_consistent_snapshots() {
     // 3 inserts + 1 successful remove published snapshots.
     assert_eq!(server.metrics().snapshot_swaps, 4);
 }
+
+/// Hits are named from the snapshot the search ran on. The bug: the
+/// network front end named `SearchMesh`/`MultiStep` hits from a second
+/// snapshot taken after the search, so a `Remove` published during an
+/// extraction turned real hits into empty names. A search here holds
+/// its snapshot while the removal of its top hit publishes; the hit
+/// must still resolve to its name.
+#[test]
+fn hit_names_come_from_the_snapshot_searched() {
+    let mut db = ShapeDatabase::new(extractor());
+    bulk_insert(&mut db, boxes(3), 2).unwrap();
+    let server = SearchServer::new(db);
+    let target = std::sync::Arc::clone(&server.snapshot().shapes()[1]);
+    let query = Query::top_k(FeatureKind::PrincipalMoments, 3);
+
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let reader = server.clone();
+    let probe = std::sync::Arc::clone(&target);
+    let search_thread = thread::spawn(move || {
+        let snap = reader.snapshot();
+        started_tx.send(()).unwrap();
+        release_rx.recv().unwrap();
+        let by_mesh = reader.search_mesh_on(&snap, &probe.mesh, &query).unwrap();
+        let by_features = reader.search_features_on(&snap, &probe.features, &query);
+        [by_mesh, by_features].map(|hits| {
+            hits.iter()
+                .map(|h| (h.id, snap.get(h.id).map(|s| s.name.clone())))
+                .collect::<Vec<_>>()
+        })
+    });
+
+    started_rx.recv().unwrap();
+    // The search holds its snapshot; its top hit is removed, and the
+    // removal is published before the search runs.
+    server.remove(target.id).unwrap();
+    assert_eq!(server.name_of(target.id), None);
+    release_tx.send(()).unwrap();
+    for named in search_thread.join().unwrap() {
+        assert_eq!(named[0], (target.id, Some(target.name.clone())));
+        assert!(named.iter().all(|(_, name)| name.is_some()), "{named:?}");
+    }
+}

@@ -124,3 +124,47 @@ proptest! {
                      "checked {} entries of 2000", stats.entries_checked);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Clones share nodes, so a write to one tree must leave every
+    /// earlier clone exactly as it was, and must build the same tree a
+    /// never-cloned replay of the same writes builds. The small fan-out
+    /// makes splits, root growth and condense-reinsertion frequent.
+    #[test]
+    fn clones_are_isolated_from_each_others_writes(
+        pts in prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 2..=2), 1..80),
+        ops in prop::collection::vec((0u8..3, 0usize..10_000), 1..50),
+    ) {
+        let config = RTreeConfig { max_entries: 4, min_entries: 2 };
+        let mut tree: RTree<usize> = RTree::new(2, config);
+        let mut replay: RTree<usize> = RTree::new(2, config);
+        let mut live: Vec<(Vec<f64>, usize)> = Vec::new();
+        for (i, p) in pts.iter().enumerate() {
+            tree.insert(p.clone(), i);
+            replay.insert(p.clone(), i);
+            live.push((p.clone(), i));
+        }
+        let mut history: Vec<(RTree<usize>, String)> = Vec::new();
+        for (step, (op, pick)) in ops.into_iter().enumerate() {
+            history.push((tree.clone(), format!("{tree:?}")));
+            if op == 0 || live.is_empty() {
+                let p: Vec<f64> = pts[pick % pts.len()].iter().map(|v| v + 0.5).collect();
+                let id = pts.len() + step;
+                tree.insert(p.clone(), id);
+                replay.insert(p.clone(), id);
+                live.push((p, id));
+            } else {
+                let (p, id) = live.swap_remove(pick % live.len());
+                prop_assert_eq!(tree.remove(&p, |&x| x == id), Some(id));
+                prop_assert_eq!(replay.remove(&p, |&x| x == id), Some(id));
+            }
+            tree.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(format!("{tree:?}"), format!("{replay:?}"));
+            for (old, debug) in &history {
+                prop_assert_eq!(&format!("{old:?}"), debug);
+            }
+        }
+    }
+}

@@ -189,7 +189,6 @@ impl NetClient {
         query: &Query,
     ) -> Result<HitsReport, WireError> {
         match self.request(&Request::SearchFeatures {
-            // hotpath: allow(hot-alloc) — client-side request body, in the server graph only via name-level over-approximation
             features: features.clone(),
             query: query.clone(),
         })? {
@@ -201,7 +200,6 @@ impl NetClient {
     /// One-shot query-by-example; the server extracts features.
     pub fn search_mesh(&mut self, mesh: &TriMesh, query: &Query) -> Result<HitsReport, WireError> {
         match self.request(&Request::SearchMesh {
-            // hotpath: allow(hot-alloc) — client-side request body, in the server graph only via name-level over-approximation
             mesh: mesh.clone(),
             query: query.clone(),
         })? {

@@ -27,9 +27,9 @@
 //! subsequent client frame is a [`Request`]; every server frame is a
 //! [`Response`].
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
-use bytes::{Buf, BufMut};
+use bytes::Buf;
 use serde::{Deserialize, Serialize};
 use tdess_core::MultiStepPlan;
 use tdess_core::{CacheStatsSnapshot, Query, SearchHit, ServerMetrics, ShapeDatabase, ShapeId};
@@ -535,19 +535,30 @@ pub fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
 }
 
 /// Writes one frame: 4-byte little-endian payload length, then the
-/// payload, then a flush.
+/// payload, then a flush. Header and payload go out in one vectored
+/// write where the writer supports it (a `TcpStream` does), so a frame
+/// costs one syscall and, on a `TCP_NODELAY` socket, one segment
+/// rather than two. A partial write is resumed where it stopped.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    if u32::try_from(payload.len()).is_err() {
+    let Ok(len) = u32::try_from(payload.len()) else {
         return Err(WireError::FrameTooLarge {
             len: payload.len(),
             max: u32::MAX as usize,
         });
+    };
+    let header = len.to_le_bytes();
+    let mut sent = 0;
+    while sent < header.len() {
+        match w.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)]) {
+            Ok(0) => return Err(WireError::Io(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(WireError::Io(e)),
+        }
     }
-    let mut header: Vec<u8> = Vec::with_capacity(4);
-    header.put_u32_le(payload.len() as u32);
+    // Whatever payload the vectored write left (usually none).
     // hotpath: allow(hot-block) — frame I/O is the request itself
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    w.write_all(&payload[sent - header.len()..])?;
     w.flush()?;
     Ok(())
 }
@@ -600,6 +611,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> Result<Option<Vec<u8>>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     #[test]
     fn frame_roundtrip() {
@@ -610,6 +622,56 @@ mod tests {
         assert_eq!(read_frame(&mut cur, 1024).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cur, 1024).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cur, 1024).unwrap().is_none());
+    }
+
+    /// Records every write call; `max` caps the bytes one call takes.
+    struct Recorder {
+        bytes: Vec<u8>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.max - n);
+                self.bytes.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_is_one_write_and_resumes_partial_writes() {
+        let payload: Vec<u8> = (0..50u8).collect();
+        let mut want = 50u32.to_le_bytes().to_vec();
+        want.extend_from_slice(&payload);
+        let mut whole = Recorder {
+            bytes: Vec::new(),
+            calls: 0,
+            max: usize::MAX,
+        };
+        write_frame(&mut whole, &payload).unwrap();
+        assert_eq!(whole.bytes, want);
+        assert_eq!(whole.calls, 1, "header and payload in one write");
+        // A writer taking 3 bytes per call splits the header itself.
+        let mut trickle = Recorder {
+            bytes: Vec::new(),
+            calls: 0,
+            max: 3,
+        };
+        write_frame(&mut trickle, &payload).unwrap();
+        assert_eq!(trickle.bytes, want);
+        assert_eq!(trickle.calls, want.len().div_ceil(3));
     }
 
     #[test]

@@ -883,19 +883,27 @@ fn dispatch(shared: &NetShared, req: Request) -> Response {
     }
     let search = &shared.search;
     match req {
+        // Each search names its hits from the snapshot it ran on: a
+        // write published mid-search cannot blank a real hit's name.
         Request::SearchFeatures { features, query } => {
             let snap = search.snapshot();
-            let hits = search.search_features(&features, &query);
+            let hits = search.search_features_on(&snap, &features, &query);
             Response::Hits(HitsReport::new(&snap, &hits))
         }
-        Request::SearchMesh { mesh, query } => match search.search_mesh(&mesh, &query) {
-            Ok(hits) => Response::Hits(HitsReport::new(&search.snapshot(), &hits)),
-            Err(e) => db_error_reply(&e),
-        },
-        Request::MultiStep { mesh, plan } => match search.multi_step_mesh(&mesh, &plan) {
-            Ok(hits) => Response::Hits(HitsReport::new(&search.snapshot(), &hits)),
-            Err(e) => db_error_reply(&e),
-        },
+        Request::SearchMesh { mesh, query } => {
+            let snap = search.snapshot();
+            match search.search_mesh_on(&snap, &mesh, &query) {
+                Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
+                Err(e) => db_error_reply(&e),
+            }
+        }
+        Request::MultiStep { mesh, plan } => {
+            let snap = search.snapshot();
+            match search.multi_step_mesh_on(&snap, &mesh, &plan) {
+                Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
+                Err(e) => db_error_reply(&e),
+            }
+        }
         Request::Insert { name, mesh } => match search.insert(name, mesh) {
             Ok(id) => Response::Inserted { id },
             Err(e) => db_error_reply(&e),

@@ -55,7 +55,7 @@ const WIRE_AUDITED_PREFIXES: [&str; 4] = [
 /// calls into extraction/search. A live lock guard on such a line is a
 /// `lock-discipline` finding. Shared with the `hotpath` pass, which
 /// flags (a subset of) these inside stage-reachable functions.
-pub const BLOCKING_PATTERNS: [&str; 22] = [
+pub const BLOCKING_PATTERNS: [&str; 25] = [
     "sleep(",
     ".recv()",
     ".recv_timeout(",
@@ -77,6 +77,9 @@ pub const BLOCKING_PATTERNS: [&str; 22] = [
     "search_features(",
     "multi_step_search(",
     "multi_step_mesh(",
+    "search_mesh_on(",
+    "search_features_on(",
+    "multi_step_mesh_on(",
     "bulk_insert(",
 ];
 

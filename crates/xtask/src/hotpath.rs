@@ -71,12 +71,15 @@ const ALLOC_PATTERNS: [&str; 16] = [
 
 /// Entries of audit's blocking table that are calls *into* the
 /// pipeline — they are the hot path, not a detour off it.
-const PIPELINE_CALLS: [&str; 6] = [
+const PIPELINE_CALLS: [&str; 9] = [
     "extract(",
     "search_mesh(",
     "search_features(",
     "multi_step_search(",
     "multi_step_mesh(",
+    "search_mesh_on(",
+    "search_features_on(",
+    "multi_step_mesh_on(",
     "bulk_insert(",
 ];
 

@@ -233,3 +233,61 @@ fn json_and_binary_loads_are_bit_identical_over_corpus() {
         }
     }
 }
+
+/// Lookups by id binary-search the stored shapes, so both loaders
+/// reject a snapshot whose ids are not strictly ascending.
+#[test]
+fn non_ascending_ids_are_rejected() {
+    let expect_unordered = |err: PersistError, file: &str| match &err {
+        PersistError::Corrupt {
+            path,
+            section,
+            reason,
+        } => {
+            assert!(path.to_string_lossy().contains(file), "{err}");
+            assert_eq!(*section, "database");
+            assert!(reason.contains("not strictly ascending"), "{reason}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    };
+
+    // Binary: swap the ids of the first two SHPS records (1 and 2) and
+    // patch the section checksum so only the id check can object.
+    let mut bytes = snapshot_bytes();
+    let u32_at = |b: &[u8], off: usize| u32::from_le_bytes(b[off..off + 4].try_into().unwrap());
+    let meta_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    let shps_header = 32 + meta_len;
+    let shps_len = u64::from_le_bytes(bytes[shps_header + 4..shps_header + 12].try_into().unwrap());
+    let first = shps_header + 20;
+    let name_len = u32_at(&bytes, first + 8) as usize;
+    let counts = first + 12 + name_len;
+    let (nv, nt) = (
+        u32_at(&bytes, counts) as usize,
+        u32_at(&bytes, counts + 4) as usize,
+    );
+    let second = counts + 8 + nv * 24 + nt * 12;
+    bytes[first..first + 8].copy_from_slice(&2u64.to_le_bytes());
+    bytes[second..second + 8].copy_from_slice(&1u64.to_le_bytes());
+    let sum = threedess::core::checksum64(&bytes[first..first + shps_len as usize]);
+    bytes[shps_header + 12..shps_header + 20].copy_from_slice(&sum.to_le_bytes());
+    let err = load_bytes("unordered.tdss", &bytes).expect_err("unordered ids must fail");
+    expect_unordered(err, "unordered.tdss");
+
+    // JSON: the same swap in the text form.
+    let db = load_bytes("ordered.tdss", &snapshot_bytes()).unwrap();
+    let mut json = Vec::new();
+    threedess::core::save(&db, &mut json).unwrap();
+    let json = String::from_utf8(json).unwrap();
+    let (one, two) = (r#"{"id":1,"name""#, r#"{"id":2,"name""#);
+    assert!(
+        json.contains(one) && json.contains(two),
+        "shape records not found"
+    );
+    let swapped = json
+        .replace(one, "\u{0}")
+        .replace(two, one)
+        .replace('\u{0}', two);
+    let err =
+        load_bytes("unordered.json", swapped.as_bytes()).expect_err("unordered ids must fail");
+    expect_unordered(err, "unordered.json");
+}
