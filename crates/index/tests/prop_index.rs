@@ -1,5 +1,6 @@
 //! Property tests: the R-tree must agree with the linear scan on every
-//! query, for any point set and any fan-out configuration.
+//! query, for any point set and any fan-out configuration — ties
+//! included: both order equal distances by payload.
 
 use proptest::prelude::*;
 
@@ -25,6 +26,27 @@ fn build(dim: usize, pts: &[Vec<f64>], max_entries: usize) -> (RTree<usize>, Lin
     (t, l)
 }
 
+/// Points drawn from a pool of at most eight distinct vectors, so
+/// exact duplicates, and with them distance ties, are the rule.
+fn arb_pooled_points(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (
+        prop::collection::vec(prop::collection::vec(-10.0f64..10.0, dim..=dim), 1..8),
+        prop::collection::vec(0usize..8, 1..250),
+    )
+        .prop_map(|(pool, picks)| {
+            picks
+                .into_iter()
+                .map(|i| pool[i % pool.len()].clone())
+                .collect()
+        })
+}
+
+/// A hit list as (payload, distance bits): equal lists mean the same
+/// shapes in the same order at bit-identical distances.
+fn bits(hits: &[(&[f64], &usize, f64)]) -> Vec<(usize, u64)> {
+    hits.iter().map(|&(_, &i, d)| (i, d.to_bits())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -36,12 +58,34 @@ proptest! {
         let q = [qx, qy, qz];
         let mut s1 = QueryStats::default();
         let mut s2 = QueryStats::default();
-        let a = t.knn(&q, k, &mut s1);
-        let b = l.knn(&q, k, &mut s2);
-        prop_assert_eq!(a.len(), b.len());
-        // Distances must match (payloads may differ on exact ties).
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x.2 - y.2).abs() < 1e-9, "knn distance {} vs {}", x.2, y.2);
+        prop_assert_eq!(bits(&t.knn(&q, k, &mut s1)), bits(&l.knn(&q, k, &mut s2)));
+    }
+
+    /// With duplicates forced, `knn` and `within_distance` return
+    /// exactly the linear scan's list — same payloads, same order,
+    /// same distance bits — whether the tree was built by inserts or
+    /// by STR bulk loading.
+    #[test]
+    fn tied_hits_match_linear_in_order(pts in arb_pooled_points(3), qi in 0usize..250,
+                                       k in 1usize..40, r in 0.0f64..20.0) {
+        let (inserted, l) = build(3, &pts, 6);
+        let packed = RTree::bulk_load(
+            3,
+            RTreeConfig { max_entries: 6, min_entries: 3 },
+            pts.iter().cloned().zip(0..).collect(),
+        );
+        // Query from a stored point (ties at distance 0) and from a
+        // point between two stored ones.
+        let stored = pts[qi % pts.len()].clone();
+        let between: Vec<f64> = stored.iter().zip(&pts[0]).map(|(a, b)| 0.5 * (a + b)).collect();
+        for q in [stored, between] {
+            let mut s = QueryStats::default();
+            let want_knn = bits(&l.knn(&q, k, &mut s));
+            let want_ball = bits(&l.within_distance(&q, r, &mut s));
+            for t in [&inserted, &packed] {
+                prop_assert_eq!(&bits(&t.knn(&q, k, &mut s)), &want_knn);
+                prop_assert_eq!(&bits(&t.within_distance(&q, r, &mut s)), &want_ball);
+            }
         }
     }
 
@@ -50,11 +94,7 @@ proptest! {
         let (t, l) = build(4, &pts, 12);
         let q = [0.0, 0.0, 0.0, 0.0];
         let mut s = QueryStats::default();
-        let mut a: Vec<usize> = t.within_distance(&q, r, &mut s).iter().map(|e| *e.1).collect();
-        let mut b: Vec<usize> = l.within_distance(&q, r, &mut s).iter().map(|e| *e.1).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(bits(&t.within_distance(&q, r, &mut s)), bits(&l.within_distance(&q, r, &mut s)));
     }
 
     #[test]
@@ -88,12 +128,7 @@ proptest! {
         t.check_invariants().map_err(TestCaseError::fail)?;
         let q = [1.0, 2.0, 3.0];
         let mut st = QueryStats::default();
-        let a = t.knn(&q, 5, &mut st);
-        let b = l.knn(&q, 5, &mut st);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x.2 - y.2).abs() < 1e-9);
-        }
+        prop_assert_eq!(bits(&t.knn(&q, 5, &mut st)), bits(&l.knn(&q, 5, &mut st)));
     }
 
     /// On clustered data the R-tree must prune: kNN touches far fewer
