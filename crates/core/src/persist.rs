@@ -1,26 +1,39 @@
 //! Database persistence.
 //!
 //! The paper stores geometric models and feature vectors in Oracle 8i
-//! with the multidimensional index built on top; this module plays
-//! that storage role with files (see DESIGN.md for the substitution
-//! rationale). Two on-disk formats share one load entry point:
+//! with the multidimensional index built on top (§2.3); this module
+//! plays that storage role with files (see DESIGN.md for the
+//! substitution rationale). Two on-disk formats store the same parts —
+//! extractor config, id counter, R-tree fan-out, the per-kind `dmax`
+//! table, and the shapes with their meshes and feature vectors — and
+//! share one load entry point:
 //!
-//! * **JSON** — the original, human-inspectable format; everything
-//!   including the R-trees round-trips. The compat/debug path.
+//! * **JSON** — human-inspectable; the compat/debug path.
 //! * **Binary snapshot** (`TDSS`, [`crate::snapshot`]) — sectioned,
 //!   checksummed, fixed-layout; the scale path for 10⁴–10⁵-shape
-//!   databases. R-trees are rebuilt with STR bulk loading instead of
-//!   being stored.
+//!   databases.
 //!
-//! [`load_from_path`] sniffs the first four bytes and dispatches;
-//! callers never need to know which format a file is in.
+//! Neither stores the R-trees: both loaders hand the decoded parts to
+//! one assembly step that validates them and rebuilds the trees with
+//! STR bulk loading, so a database answers the same whichever format
+//! it was loaded from. [`load_from_path`] sniffs the first four bytes
+//! and dispatches; callers never need to know which format a file is
+//! in.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crate::db::ShapeDatabase;
-use crate::snapshot::{load_binary_bytes, save_binary, SNAPSHOT_MAGIC, STREAM};
+use serde::{Deserialize, Serialize};
+use tdess_features::{FeatureExtractor, FeatureKind};
+use tdess_index::RTreeConfig;
+
+use crate::db::{ShapeDatabase, ShapeId, StoredShape};
+use crate::snapshot::{
+    check_extractor, check_vector, load_binary_bytes, save_binary, SNAPSHOT_MAGIC, STREAM,
+};
 
 /// The file operation a [`PersistError::File`] failure occurred in —
 /// distinguishing a failed temp-file create from a failed fsync or
@@ -189,9 +202,62 @@ fn file_ctx<T>(r: std::io::Result<T>, op: FileOp, path: &Path) -> Result<T, Pers
     })
 }
 
+/// What a JSON database file holds: the parts a `TDSS` snapshot
+/// stores. Files written before the trees were dropped from JSON also
+/// carry an `indexes` object, which loading ignores.
+#[derive(Serialize, Deserialize)]
+struct JsonDatabase {
+    extractor: FeatureExtractor,
+    next_id: ShapeId,
+    /// Absent from files that stored their trees; every database they
+    /// hold was built with the default fan-out.
+    #[serde(default)]
+    config: RTreeConfig,
+    /// Keyed by kind name.
+    dmax: HashMap<FeatureKind, f64>,
+    shapes: Vec<Arc<StoredShape>>,
+}
+
+impl JsonDatabase {
+    /// Checks what only the serde form can get wrong — a missing
+    /// `dmax` kind, and the extractor and vectors the `TDSS` decoder
+    /// checks while decoding — then assembles the database as a `TDSS`
+    /// load does.
+    fn into_database(self) -> Result<ShapeDatabase, String> {
+        check_extractor(&self.extractor)?;
+        let mut dmax = [0.0; FeatureKind::ALL.len()];
+        for (kind, d) in FeatureKind::ALL.into_iter().zip(&mut dmax) {
+            *d = *self
+                .dmax
+                .get(&kind)
+                // hotpath: allow(hot-alloc) — error path: formats once, then the load aborts; `load` is on the hot path only by name
+                .ok_or_else(|| format!("missing dmax entry for {kind:?}"))?;
+        }
+        for s in &self.shapes {
+            for kind in FeatureKind::ALL {
+                check_vector(s.id, kind, s.features.get(kind), self.extractor.dim(kind))?;
+            }
+        }
+        ShapeDatabase::from_loaded_parts(
+            self.extractor,
+            self.next_id,
+            self.shapes,
+            dmax,
+            self.config,
+        )
+    }
+}
+
 /// Serializes the database to a writer as JSON.
 pub fn save<W: Write>(db: &ShapeDatabase, w: W) -> Result<(), PersistError> {
-    serde_json::to_writer(w, db)?;
+    let json = JsonDatabase {
+        extractor: *db.extractor(),
+        next_id: db.next_id(),
+        config: db.index_config(),
+        dmax: FeatureKind::ALL.map(|kind| (kind, db.dmax(kind))).into(),
+        shapes: db.shapes().to_vec(),
+    };
+    serde_json::to_writer(w, &json)?;
     Ok(())
 }
 
@@ -200,13 +266,13 @@ pub fn load<R: Read>(r: R) -> Result<ShapeDatabase, PersistError> {
     load_json(r, Path::new(STREAM))
 }
 
-/// Deserializes a JSON database, rejecting ids the lookups cannot
-/// serve (`path` is used only in errors).
+/// Deserializes a JSON database and assembles it as a `TDSS` load
+/// does; any invalid part is `Corrupt` in section `database` (`path`
+/// is used only in errors).
 fn load_json<R: Read>(r: R, path: &Path) -> Result<ShapeDatabase, PersistError> {
-    let mut db: ShapeDatabase = serde_json::from_reader(r)?;
-    db.index_ids()
-        .map_err(|reason| corrupt(path, "database", reason))?;
-    Ok(db)
+    let json: JsonDatabase = serde_json::from_reader(r)?;
+    json.into_database()
+        .map_err(|reason| corrupt(path, "database", reason))
 }
 
 /// Which on-disk representation to write a database in.

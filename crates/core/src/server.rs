@@ -1,5 +1,5 @@
-//! The SERVER tier (§2.2): snapshot-isolated concurrent search,
-//! batched queries, query metrics, and parallel bulk indexing.
+//! The SERVER tier (§2.2): snapshot-isolated concurrent search, query
+//! metrics, and parallel bulk indexing.
 //!
 //! The paper's server layer handles "computation-intensive tasks" —
 //! chiefly feature extraction — for many interactive clients. A naive
@@ -22,9 +22,6 @@
 //!   an untouched node, so a write costs what it changes rather than
 //!   the size of the database. The replaced snapshot is released after
 //!   the swap, outside the lock readers take;
-//! * [`SearchServer::search_batch`] / [`SearchServer::multi_step_batch`]
-//!   — a batch of query meshes fanned out across worker threads, all
-//!   answered from one consistent snapshot;
 //! * [`ServerMetrics`] — queries served, per-kind latency
 //!   min/mean/max plus p50/p90/p99 quantiles backed by the `tdess-obs`
 //!   log-linear histograms, aggregated index-traversal counters, and
@@ -105,8 +102,7 @@ impl LatencyStats {
 /// class is served (serialized as `null` / absent on the wire).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerMetrics {
-    /// Total queries served (one-shot + multi-step, batches counted
-    /// per contained query).
+    /// Total queries served (one-shot + multi-step).
     pub queries_served: u64,
     /// Latency of one-shot searches (extraction + index search).
     #[serde(default)]
@@ -177,9 +173,6 @@ struct ServerInner {
 pub struct SearchServer {
     inner: Arc<ServerInner>,
 }
-
-/// Per-query batch outcome: hits, traversal counters, latency.
-type BatchSlot = (Vec<SearchHit>, QueryStats, Duration);
 
 impl SearchServer {
     /// Wraps a database in a server handle with extraction caching
@@ -376,118 +369,6 @@ impl SearchServer {
         let hits = multi_step_search_with_stats(snap, &features, plan, &mut stats);
         self.record(QueryClass::MultiStep, t0.elapsed(), &stats);
         Ok(hits)
-    }
-
-    /// Answers a batch of one-shot queries, fanning extraction and
-    /// search across `threads` worker threads. Every query runs
-    /// against the *same* snapshot, so results are mutually
-    /// consistent. Returns `(name, hits)` in input order; the first
-    /// extraction failure (in input order) aborts the batch.
-    pub fn search_batch(
-        &self,
-        queries: Vec<(String, TriMesh)>,
-        query: &Query,
-        threads: usize,
-    ) -> Result<Vec<(String, Vec<SearchHit>)>, DbError> {
-        self.run_batch(
-            queries,
-            threads,
-            QueryClass::OneShot,
-            |db, features, stats| db.search_with_stats(features, query, stats),
-        )
-    }
-
-    /// Answers a batch of multi-step queries across `threads` worker
-    /// threads, all against one snapshot. Returns `(name, hits)` in
-    /// input order; the first extraction failure aborts the batch.
-    pub fn multi_step_batch(
-        &self,
-        queries: Vec<(String, TriMesh)>,
-        plan: &MultiStepPlan,
-        threads: usize,
-    ) -> Result<Vec<(String, Vec<SearchHit>)>, DbError> {
-        self.run_batch(
-            queries,
-            threads,
-            QueryClass::MultiStep,
-            |db, features, stats| multi_step_search_with_stats(db, features, plan, stats),
-        )
-    }
-
-    /// Shared batch driver: one snapshot, a work-stealing counter,
-    /// per-slot results (the [`bulk_insert`] fan-out pattern).
-    fn run_batch(
-        &self,
-        queries: Vec<(String, TriMesh)>,
-        threads: usize,
-        class: QueryClass,
-        run: impl Fn(&ShapeDatabase, &FeatureSet, &mut QueryStats) -> Vec<SearchHit> + Sync,
-    ) -> Result<Vec<(String, Vec<SearchHit>)>, DbError> {
-        let snap = self.snapshot();
-        let threads = threads.max(1);
-        let n = queries.len();
-
-        let run_one = |mesh: &TriMesh| -> Result<BatchSlot, DbError> {
-            // determinism: allow(time-taint) — per-query timing feeds the batch latency histograms; result slots carry no clock values
-            let t0 = Instant::now();
-            let features = self.extract_timed(&snap, mesh)?;
-            let mut stats = QueryStats::default();
-            let hits = run(&snap, &features, &mut stats);
-            Ok((hits, stats, t0.elapsed()))
-        };
-
-        let mut outcomes: Vec<Result<BatchSlot, DbError>> = Vec::with_capacity(n);
-        if threads == 1 || n <= 1 {
-            for (_, mesh) in &queries {
-                outcomes.push(run_one(mesh));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<RwLock<Option<Result<BatchSlot, DbError>>>> =
-                (0..n).map(|_| RwLock::new(None)).collect();
-            crossbeam::scope(|scope| {
-                for _ in 0..threads.min(n) {
-                    scope.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed); // audit: ordering(slot-claim ticket; results publish via the RwLock slots and the scope join barrier)
-                        if i >= n {
-                            break;
-                        }
-                        *slots[i].write() = Some(run_one(&queries[i].1));
-                    });
-                }
-            })
-            .map_err(|_| DbError::WorkerFailure("batch query worker panicked"))?;
-            for cell in slots {
-                outcomes.push(
-                    cell.into_inner()
-                        .ok_or(DbError::WorkerFailure("batch query slot left empty"))?,
-                );
-            }
-        }
-
-        // Fail on the first error in input order, recording metrics
-        // only for a fully successful batch.
-        let mut results = Vec::with_capacity(n);
-        for ((name, _), outcome) in queries.into_iter().zip(outcomes) {
-            let (hits, stats, elapsed) = outcome?;
-            results.push((name, hits, stats, elapsed));
-        }
-        {
-            let mut guard = self.inner.metrics.lock();
-            let m = &mut *guard;
-            let acc = match class {
-                QueryClass::OneShot => &mut m.one_shot,
-                QueryClass::MultiStep => &mut m.multi_step,
-            };
-            for (_, _, stats, elapsed) in &results {
-                acc.record(*elapsed);
-                m.index_stats.merge(stats);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|(name, hits, _, _)| (name, hits))
-            .collect())
     }
 
     /// Inserts a shape. Extraction runs before the writer lock is
@@ -783,64 +664,6 @@ mod tests {
             .unwrap();
         assert_eq!(before.len(), 3, "old snapshot must not see the insert");
         assert_eq!(server.len(), 4);
-    }
-
-    #[test]
-    fn search_batch_matches_individual_searches() {
-        let mut db = ShapeDatabase::new(extractor());
-        bulk_insert(&mut db, meshes(5), 2).unwrap();
-        let server = SearchServer::new(db);
-        let queries = meshes(4);
-        let query = Query::top_k(FeatureKind::PrincipalMoments, 3);
-
-        let batched = server.search_batch(queries.clone(), &query, 3).unwrap();
-        assert_eq!(batched.len(), 4);
-        for ((name, mesh), (bname, bhits)) in queries.iter().zip(&batched) {
-            assert_eq!(name, bname);
-            let solo = server.search_mesh(mesh, &query).unwrap();
-            assert_eq!(&solo, bhits, "{name}");
-        }
-        // 4 batched + 4 solo queries recorded.
-        assert_eq!(server.metrics().one_shot.unwrap().count, 8);
-    }
-
-    #[test]
-    fn multi_step_batch_matches_individual_searches() {
-        let mut db = ShapeDatabase::new(extractor());
-        bulk_insert(&mut db, meshes(6), 2).unwrap();
-        let server = SearchServer::new(db);
-        let plan = MultiStepPlan {
-            steps: vec![FeatureKind::PrincipalMoments, FeatureKind::GeometricParams],
-            candidates: 5,
-            presented: 3,
-        };
-        let queries = meshes(3);
-        let batched = server.multi_step_batch(queries.clone(), &plan, 2).unwrap();
-        for ((name, mesh), (bname, bhits)) in queries.iter().zip(&batched) {
-            assert_eq!(name, bname);
-            let solo = server.multi_step_mesh(mesh, &plan).unwrap();
-            assert_eq!(&solo, bhits, "{name}");
-        }
-    }
-
-    #[test]
-    fn search_batch_propagates_extraction_errors() {
-        let mut db = ShapeDatabase::new(extractor());
-        bulk_insert(&mut db, meshes(3), 2).unwrap();
-        let server = SearchServer::new(db);
-        let mut queries = meshes(3);
-        queries.insert(
-            1,
-            (
-                "degenerate".into(),
-                TriMesh::new(vec![Vec3::ZERO, Vec3::X, Vec3::Y], vec![[0, 1, 2]]),
-            ),
-        );
-        let before = server.metrics();
-        let err = server.search_batch(queries, &Query::top_k(FeatureKind::PrincipalMoments, 2), 2);
-        assert!(matches!(err, Err(DbError::Extraction(_))));
-        // A failed batch records nothing.
-        assert_eq!(server.metrics(), before);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Binary snapshot format for [`ShapeDatabase`] (the `TDSS` format).
 //!
-//! The JSON persistence in [`crate::persist`] round-trips everything —
-//! including the R-trees — through a text value tree, which is fine at
-//! 113 shapes and hopeless at 10⁵ (the paper's §2.3 index-efficiency
-//! claim is stated over synthetic databases of that size). This module
-//! is the scale path: a versioned, sectioned, checksummed binary
-//! layout with fixed-stride little-endian feature arrays, so loading
-//! is a linear bounds-checked decode instead of a parse, and the
-//! R-trees are not stored at all — they are rebuilt in one pass with
-//! [`RTree::bulk_load`](tdess_index::RTree::bulk_load) (STR packing),
-//! which is faster than deserializing them and yields better-packed
-//! trees.
+//! Both persistence formats store the same parts: the extractor
+//! config, the id counter, the R-tree fan-out, the per-kind `dmax`
+//! table and the shapes with their feature vectors. Neither stores the
+//! R-trees; loading rebuilds them in one pass with
+//! [`RTree::bulk_load`](tdess_index::RTree::bulk_load) (STR packing)
+//! through the one assembly path both formats share. The JSON form in
+//! [`crate::persist`] parses a text value tree, which is fine at 113
+//! shapes and hopeless at 10⁵ (the paper's §2.3 index-efficiency claim
+//! is stated over synthetic databases of that size). This module is
+//! the scale path: a versioned, sectioned, checksummed binary layout
+//! with fixed-stride little-endian feature arrays, so loading is a
+//! linear bounds-checked decode instead of a parse.
 //!
 //! # Layout (version 1)
 //!
@@ -49,11 +50,12 @@
 //! Decode treats the file as untrusted: every section is checksummed,
 //! every declared count is capped before an allocation is sized from
 //! it (same policy as the OFF loader in `tdess-geom`), and the decoded
-//! parts pass through the same validation the JSON path applies
-//! (R-tree config via `RTreeConfig::validate`, feature dimensions,
-//! finiteness, strictly ascending ids) before a database is produced.
+//! parts pass the same checks a JSON load applies (extractor config,
+//! feature dimensions and finiteness, `dmax`, R-tree config via
+//! `RTreeConfig::validate`, strictly ascending ids) before a database
+//! is produced. The two formats differ only in which section an error
+//! names: a JSON file has one, `database`.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -402,8 +404,7 @@ impl<'a> Cur<'a> {
         let bytes = self.take(n)?;
         Ok(bytes
             .chunks_exact(8)
-            // lint: allow(unwrap) — chunks_exact(8) yields exactly 8 bytes
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
             .collect())
     }
 
@@ -432,7 +433,48 @@ struct Meta {
     shape_count: usize,
     config: RTreeConfig,
     dims: Vec<usize>,
-    dmax: HashMap<FeatureKind, f64>,
+    /// Indexed by `FeatureKind as usize`.
+    dmax: [f64; FeatureKind::ALL.len()],
+}
+
+/// Rejects extractor settings no database could have been built with
+/// (and a spectrum dimension past [`MAX_FEATURE_DIM`], which would
+/// size the feature arrays). Shared by both formats.
+pub(crate) fn check_extractor(extractor: &FeatureExtractor) -> Result<(), String> {
+    let FeatureExtractor {
+        voxel_resolution,
+        spectrum_dim,
+    } = *extractor;
+    if voxel_resolution == 0 || spectrum_dim == 0 || spectrum_dim > MAX_FEATURE_DIM {
+        // hotpath: allow(hot-alloc) — error path: formats once, then the load aborts; `load` is on the hot path only by name
+        return Err(format!(
+            "implausible extractor config: voxel_resolution {voxel_resolution}, \
+             spectrum_dim {spectrum_dim}"
+        ));
+    }
+    Ok(())
+}
+
+/// Rejects a loaded feature vector that does not hold exactly `dim`
+/// finite values. Shared by both formats; a `TDSS` vector has `dim`
+/// values by construction, so only its finiteness can fail there.
+pub(crate) fn check_vector(
+    id: ShapeId,
+    kind: FeatureKind,
+    v: &[f64],
+    dim: usize,
+) -> Result<(), String> {
+    if v.len() != dim {
+        // hotpath: allow(hot-alloc) — error path: formats once, then the load aborts; `load` is on the hot path only by name
+        return Err(format!(
+            "shape {id} has {} {kind:?} values, the extractor config implies {dim}",
+            v.len()
+        ));
+    }
+    if !v.iter().all(|x| x.is_finite()) {
+        return Err(format!("shape {id} has a non-finite {kind:?} vector"));
+    }
+    Ok(())
 }
 
 fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
@@ -453,16 +495,11 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
             format!("declared shape count {shape_count_raw} exceeds cap {MAX_SNAPSHOT_SHAPES}"),
         ));
     }
-    if voxel_resolution == 0 || spectrum_dim == 0 || spectrum_dim > MAX_FEATURE_DIM {
-        return Err(corrupt(
-            path,
-            "META",
-            format!(
-                "implausible extractor config: voxel_resolution {voxel_resolution}, \
-                 spectrum_dim {spectrum_dim}"
-            ),
-        ));
-    }
+    let extractor = FeatureExtractor {
+        voxel_resolution,
+        spectrum_dim,
+    };
+    check_extractor(&extractor).map_err(|reason| corrupt(path, "META", reason))?;
     if kind_count != FeatureKind::ALL.len() {
         return Err(corrupt(
             path,
@@ -473,12 +510,8 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
             ),
         ));
     }
-    let extractor = FeatureExtractor {
-        voxel_resolution,
-        spectrum_dim,
-    };
     let mut dims = Vec::with_capacity(FeatureKind::ALL.len());
-    let mut dmax = HashMap::new();
+    let mut dmax = [0.0; FeatureKind::ALL.len()];
     for kind in FeatureKind::ALL {
         let dim = cur.u32()? as usize;
         if dim != extractor.dim(kind) {
@@ -492,7 +525,7 @@ fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
             ));
         }
         dims.push(dim);
-        dmax.insert(kind, cur.f64()?);
+        dmax[kind as usize] = cur.f64()?;
     }
     cur.done()?;
     Ok(Meta {
@@ -628,16 +661,10 @@ fn decode_features(
                 return Err(corrupt(path, "FEAT", "shape record shared during decode"));
             };
             let v = cur.f64_vec(dim)?;
-            // Finiteness is checked here, while the freshly decoded
-            // values are cache-hot, instead of in a second pass over
-            // every vector in `from_loaded_parts`.
-            if !v.iter().all(|x| x.is_finite()) {
-                return Err(corrupt(
-                    path,
-                    "FEAT",
-                    format!("shape {} has a non-finite {kind:?} vector", shape.id),
-                ));
-            }
+            // Checked here, while the freshly decoded values are
+            // cache-hot, instead of in a second pass over every vector.
+            check_vector(shape.id, kind, &v, dim)
+                .map_err(|reason| corrupt(path, "FEAT", reason))?;
             match kind {
                 FeatureKind::MomentInvariants => shape.features.moment_invariants = v,
                 FeatureKind::GeometricParams => shape.features.geometric = v,

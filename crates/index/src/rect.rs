@@ -1,11 +1,9 @@
 //! Hyper-rectangles for the multidimensional index.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned hyper-rectangle in `dim` dimensions, stored as
 /// min/max corners (the "tight bounding box represented by the
 /// coordinates of its two diagonal vertices" of §2.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     /// Minimum corner.
     pub min: Vec<f64>,

@@ -1,11 +1,12 @@
-//! Crash-consistency and corruption suite for the binary snapshot
-//! format, plus the JSON-vs-binary equivalence check over the full
-//! 113-shape corpus: both persistence paths must hand back databases
-//! whose search results are bit-identical.
+//! Crash-consistency and corruption suite for both snapshot formats,
+//! plus the equivalence checks over the full 113-shape corpus: every
+//! way of building and persisting a database must hand back one whose
+//! search results are bit-identical.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use serde::Value;
 use threedess::core::{
     bulk_insert, load_from_path, save_to_path, save_to_path_binary, PersistError, Query,
     ShapeDatabase,
@@ -64,6 +65,47 @@ fn load_bytes(name: &str, bytes: &[u8]) -> Result<ShapeDatabase, PersistError> {
     let path = test_dir("corruption").join(name);
     std::fs::write(&path, bytes).unwrap();
     load_from_path(&path)
+}
+
+/// Asserts that `a` and `b` answer a top-10 query from every `every`th
+/// shape of `a` with the same ids, in the same order, at bit-identical
+/// distances and similarities, in every feature space.
+fn assert_same_answers(a: &ShapeDatabase, b: &ShapeDatabase, every: usize, what: &str) {
+    for kind in FeatureKind::ALL {
+        assert_eq!(
+            a.dmax(kind).to_bits(),
+            b.dmax(kind).to_bits(),
+            "{what}: {kind:?} dmax"
+        );
+    }
+    for shape in a.shapes().iter().step_by(every) {
+        for kind in FeatureKind::ALL {
+            let q = Query::top_k(kind, 10);
+            let bits = |db: &ShapeDatabase| -> Vec<(u64, u64, u64)> {
+                db.search(&shape.features, &q)
+                    .iter()
+                    .map(|h| (h.id, h.distance.to_bits(), h.similarity.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(a), bits(b), "{what}: {kind:?} hits for {}", shape.name);
+        }
+    }
+}
+
+/// The object field `key` of `v`.
+fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1,
+        other => panic!("`{key}`: expected an object, got {}", other.kind_name()),
+    }
+}
+
+/// The array items of `v`.
+fn items(v: &mut Value) -> &mut Vec<Value> {
+    match v {
+        Value::Arr(items) => items,
+        other => panic!("expected an array, got {}", other.kind_name()),
+    }
 }
 
 #[test]
@@ -198,40 +240,113 @@ fn json_and_binary_loads_are_bit_identical_over_corpus() {
     let from_bin = load_from_path(&bin_path).unwrap();
     assert_eq!(from_json.len(), db.len());
     assert_eq!(from_bin.len(), db.len());
+    assert_same_answers(&from_json, &from_bin, 9, "JSON vs binary load");
+}
 
-    for kind in FeatureKind::ALL {
-        assert_eq!(
-            from_json.dmax(kind).to_bits(),
-            from_bin.dmax(kind).to_bits(),
-            "{kind:?} dmax differs between formats"
-        );
+/// `tdess index` builds a database by inserting shapes one at a time,
+/// so its R-trees are shaped by insertion order; loading either format
+/// rebuilds them with STR packing, and a batch build packs them too.
+/// All four databases must answer alike, ties included.
+#[test]
+fn index_route_answers_match_every_load_path() {
+    let batch = corpus_db();
+    // `insert` is extraction followed by `insert_precomputed`; the
+    // features come from the batch-built database.
+    let mut inserted = ShapeDatabase::new(*batch.extractor());
+    for s in batch.shapes() {
+        inserted.insert_precomputed(s.name.clone(), s.mesh.clone(), s.features.clone());
     }
+    let dir = test_dir("index_route");
+    let json_path = dir.join("indexed.json");
+    let bin_path = dir.join("converted.tdss");
+    save_to_path(&inserted, &json_path).unwrap();
+    let from_json = load_from_path(&json_path).unwrap();
+    save_to_path_binary(&from_json, &bin_path).unwrap();
+    let converted = load_from_path(&bin_path).unwrap();
 
-    // Every 9th shape queries the database in every feature space;
-    // ids, distances, and similarities must match bit for bit.
-    for shape in db.shapes().iter().step_by(9) {
-        for kind in FeatureKind::ALL {
-            let q = Query::top_k(kind, 10);
-            let a = from_json.search(&shape.features, &q);
-            let b = from_bin.search(&shape.features, &q);
-            assert_eq!(a.len(), b.len(), "{kind:?} result count for {}", shape.name);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.id, y.id, "{kind:?} ids for {}", shape.name);
-                assert_eq!(
-                    x.distance.to_bits(),
-                    y.distance.to_bits(),
-                    "{kind:?} distance bits for {}",
-                    shape.name
-                );
-                assert_eq!(
-                    x.similarity.to_bits(),
-                    y.similarity.to_bits(),
-                    "{kind:?} similarity bits for {}",
-                    shape.name
-                );
+    assert_same_answers(&inserted, batch, 9, "inserted vs batch-built");
+    assert_same_answers(&inserted, &from_json, 9, "inserted vs JSON reload");
+    assert_same_answers(&inserted, &converted, 9, "inserted vs TDSS conversion");
+}
+
+/// A JSON file is validated as a `TDSS` snapshot is: every invalid
+/// part is rejected at load with `Corrupt` in section `database`,
+/// never left to panic a later search or insert.
+#[test]
+fn hostile_json_is_rejected_at_load() {
+    let db = load_bytes("valid.tdss", &snapshot_bytes()).unwrap();
+    let mut json = Vec::new();
+    threedess::core::save(&db, &mut json).unwrap();
+    let valid: Value = serde_json::from_reader(&json[..]).unwrap();
+
+    type Edit = fn(&mut Value);
+    let cases: [(&str, &str, Edit); 5] = [
+        ("missing_dmax.json", "missing dmax", |v| {
+            let Value::Obj(kinds) = field(v, "dmax") else {
+                panic!("dmax is not an object");
+            };
+            kinds.retain(|(k, _)| k != "Eigenvalues");
+        }),
+        ("short_vector.json", "values", |v| {
+            let shape = &mut items(field(v, "shapes"))[1];
+            items(field(field(shape, "features"), "geometric")).pop();
+        }),
+        ("null_value.json", "non-finite", |v| {
+            let shape = &mut items(field(v, "shapes"))[2];
+            items(field(field(shape, "features"), "shell_histogram"))[3] = Value::Null;
+        }),
+        ("zero_min_entries.json", "min_entries", |v| {
+            *field(field(v, "config"), "min_entries") = Value::Int(0);
+        }),
+        ("zero_spectrum_dim.json", "spectrum_dim", |v| {
+            *field(field(v, "extractor"), "spectrum_dim") = Value::Int(0);
+        }),
+    ];
+    for (file, why, edit) in cases {
+        let mut hostile = valid.clone();
+        edit(&mut hostile);
+        let bytes = serde_json::to_string(&hostile).unwrap();
+        match load_bytes(file, bytes.as_bytes()) {
+            Err(PersistError::Corrupt {
+                path,
+                section,
+                reason,
+            }) => {
+                assert!(path.to_string_lossy().contains(file), "{file}");
+                assert_eq!(section, "database", "{file}: {reason}");
+                assert!(reason.contains(why), "{file}: {reason}");
             }
+            Ok(_) => panic!("{file}: loaded"),
+            Err(other) => panic!("{file}: expected Corrupt, got {other}"),
         }
     }
+}
+
+/// JSON files written while the format still stored the R-trees (an
+/// `indexes` object and no `config`) load, rebuild their trees, and
+/// answer exactly as the same database saved in the current layout.
+#[test]
+fn json_with_stored_trees_loads_like_current_layout() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/tree_layout.json"
+    );
+    let bytes = std::fs::read(fixture).unwrap();
+    let old: Value = serde_json::from_reader(&bytes[..]).unwrap();
+    assert!(old.get("indexes").is_some() && old.get("config").is_none());
+    let from_old = load_from_path(std::path::Path::new(fixture)).unwrap();
+
+    let mut json = Vec::new();
+    threedess::core::save(&from_old, &mut json).unwrap();
+    let new: Value = serde_json::from_reader(&json[..]).unwrap();
+    assert!(new.get("indexes").is_none() && new.get("config").is_some());
+    assert_eq!(
+        serde_json::to_string(&old.get("shapes")).unwrap(),
+        serde_json::to_string(&new.get("shapes")).unwrap(),
+        "the shapes array is written as before"
+    );
+    let from_new = load_bytes("current_layout.json", &json).unwrap();
+    assert_same_answers(&from_old, &from_new, 1, "stored-tree vs current layout");
 }
 
 /// Lookups by id binary-search the stored shapes, so both loaders
