@@ -25,7 +25,9 @@
 
 use std::time::Instant;
 
-use tdess_bench::{quantile, standard_corpus, CORPUS_SEED, RESOLUTION};
+use tdess_bench::{
+    quantile, standard_corpus, write_bench_json, write_or_die, CORPUS_SEED, RESOLUTION,
+};
 use tdess_core::{bulk_insert, CacheConfig, Query, SearchServer, ShapeDatabase};
 use tdess_eval::render_table;
 use tdess_features::{FeatureExtractor, FeatureKind};
@@ -35,7 +37,7 @@ use tdess_geom::TriMesh;
 const REPLAY_FACTOR: usize = 5;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = tdess_bench::smoke();
     let (resolution, take) = if smoke {
         (12, 12)
     } else {
@@ -204,8 +206,6 @@ fn main() {
     }
 
     let json = serde_json::json!({
-        "bench": "tab_cache",
-        "smoke": smoke,
         "corpus_size": n,
         "voxel_resolution": resolution,
         "replay_len": replay_meshes.len(),
@@ -228,14 +228,7 @@ fn main() {
             "capacity_bytes": stats.capacity_bytes,
         }),
     });
-    let pretty = match serde_json::to_string_pretty(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: serializing results: {e}");
-            std::process::exit(1);
-        }
-    };
-    write_or_die("BENCH_cache.json", &pretty);
+    write_bench_json("tab_cache", smoke, json);
     if !smoke {
         let _ = std::fs::create_dir_all("results");
         write_or_die(
@@ -291,12 +284,4 @@ fn mean(samples: &[f64]) -> f64 {
         return f64::NAN;
     }
     samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[out] wrote {path}");
 }

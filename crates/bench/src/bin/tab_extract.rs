@@ -19,7 +19,9 @@
 
 use std::time::Instant;
 
-use tdess_bench::{standard_corpus, CORPUS_SEED, RESOLUTION};
+use tdess_bench::{
+    quantile, standard_corpus, write_bench_json, write_or_die, CORPUS_SEED, RESOLUTION,
+};
 use tdess_core::{bulk_insert, ShapeDatabase};
 use tdess_eval::render_table;
 use tdess_features::{normalize, ExtractScratch, FeatureExtractor};
@@ -28,30 +30,10 @@ use tdess_obs::Level;
 use tdess_skeleton::{skeletonize, skeletonize_into, ThinScratch, ThinningParams};
 use tdess_voxel::{voxelize, voxelize_into, FloodScratch, VoxelGrid, VoxelizeParams};
 
-/// Latency samples (seconds, one per shape) for one stage.
-#[derive(Default)]
-struct Samples(Vec<f64>);
-
-impl Samples {
-    fn push(&mut self, s: f64) {
-        self.0.push(s);
-    }
-
-    /// The q-quantile by nearest-rank over the sorted samples.
-    fn quantile(&self, q: f64) -> f64 {
-        if self.0.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.0.clone();
-        sorted.sort_by(f64::total_cmp);
-        let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-}
-
-/// p50/p90/p99 triple for the report.
-fn quantiles(s: &Samples) -> (f64, f64, f64) {
-    (s.quantile(0.5), s.quantile(0.9), s.quantile(0.99))
+/// p50/p90/p99 triple of one stage's latency samples (seconds, one
+/// per shape).
+fn quantiles(s: &[f64]) -> (f64, f64, f64) {
+    (quantile(s, 0.5), quantile(s, 0.9), quantile(s, 0.99))
 }
 
 fn pct_faster(cold: f64, warm: f64) -> f64 {
@@ -63,7 +45,7 @@ fn pct_faster(cold: f64, warm: f64) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = tdess_bench::smoke();
     let (resolution, take) = if smoke {
         (12, 12)
     } else {
@@ -106,9 +88,9 @@ fn main() {
         .collect();
 
     // Cold: every call pays the grid and scratch allocations.
-    let mut cold_vox = Samples::default();
-    let mut cold_skel = Samples::default();
-    let mut cold_extract = Samples::default();
+    let mut cold_vox = Vec::new();
+    let mut cold_skel = Vec::new();
+    let mut cold_extract = Vec::new();
     let mut cold_words: Vec<(Vec<u64>, Vec<u64>)> = Vec::with_capacity(n);
     for mesh in &normalized {
         let t0 = Instant::now();
@@ -130,9 +112,9 @@ fn main() {
     }
 
     // Warm: one buffer set survives the whole corpus.
-    let mut warm_vox = Samples::default();
-    let mut warm_skel = Samples::default();
-    let mut warm_extract = Samples::default();
+    let mut warm_vox = Vec::new();
+    let mut warm_skel = Vec::new();
+    let mut warm_extract = Vec::new();
     let mut grid = VoxelGrid::new(1, 1, 1, Vec3::ZERO, 1.0);
     let mut skel = VoxelGrid::new(1, 1, 1, Vec3::ZERO, 1.0);
     let mut flood = FloodScratch::default();
@@ -244,7 +226,7 @@ fn main() {
 
     // The vendored json! macro takes no nested object literals: build
     // the sub-objects bottom-up.
-    let stage_json = |cold: &Samples, warm: &Samples| {
+    let stage_json = |cold: &[f64], warm: &[f64]| {
         let (c50, c90, c99) = quantiles(cold);
         let (w50, w90, w99) = quantiles(warm);
         let cold = serde_json::json!({"p50_s": c50, "p90_s": c90, "p99_s": c99});
@@ -273,21 +255,12 @@ fn main() {
         _ => serde_json::json!(null),
     };
     let json = serde_json::json!({
-        "bench": "tab_extract",
-        "smoke": smoke,
         "corpus_size": n,
         "voxel_resolution": resolution,
         "stages": stages_json,
         "vs_seed": vs_seed,
     });
-    let pretty = match serde_json::to_string_pretty(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: serializing results: {e}");
-            std::process::exit(1);
-        }
-    };
-    write_or_die("BENCH_extract.json", &pretty);
+    write_bench_json("tab_extract", smoke, json);
     if !smoke {
         let _ = std::fs::create_dir_all("results");
         write_or_die("results/tab_extract.txt", &format!("{title}\n{table}\n"));
@@ -312,12 +285,4 @@ fn seed_stage_p50s(path: &str) -> Option<(f64, f64)> {
         }
     };
     Some((p50("voxelize")?, p50("skeletonize")?))
-}
-
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[out] wrote {path}");
 }

@@ -30,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use tdess_bench::{standard_corpus, CORPUS_SEED, RESOLUTION};
+use tdess_bench::{standard_corpus, write_bench_json, write_or_die, CORPUS_SEED, RESOLUTION};
 use tdess_core::{bulk_insert, MultiStepPlan, Query, SearchServer, ShapeDatabase};
 use tdess_eval::render_table;
 use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
@@ -60,7 +60,7 @@ fn min_pass(passes: &[Pass]) -> Pass {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = tdess_bench::smoke();
     let (resolution, take, query_rounds, mesh_rounds, reps) = if smoke {
         (12, 12, 5, 2, 1)
     } else {
@@ -213,8 +213,6 @@ fn main() {
     }
 
     let json = serde_json::json!({
-        "bench": "tab_obs_overhead",
-        "smoke": smoke,
         "corpus_size": n,
         "voxel_resolution": resolution,
         "query_rounds": query_rounds,
@@ -252,14 +250,7 @@ fn main() {
             "p99_s": snap.quantile_seconds(0.99),
         })).collect::<Vec<_>>(),
     });
-    let pretty = match serde_json::to_string_pretty(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: serializing results: {e}");
-            std::process::exit(1);
-        }
-    };
-    write_or_die("BENCH_obs_overhead.json", &pretty);
+    write_bench_json("tab_obs_overhead", smoke, json);
     if !smoke {
         let _ = std::fs::create_dir_all("results");
         write_or_die(
@@ -321,8 +312,13 @@ fn run_pass(
     let t0 = Instant::now();
     for round in 0..mesh_rounds {
         for (i, (_, mesh)) in subset.iter().enumerate() {
-            let guard = recorder
-                .map(|_| tdess_obs::begin_request(&format!("bench-{round}-{i}"), "MultiStepMesh"));
+            let guard = recorder.map(|_| {
+                tdess_obs::begin_request(
+                    &format!("bench-{round}-{i}"),
+                    "MultiStepMesh",
+                    Instant::now(),
+                )
+            });
             let hits = match server.multi_step_mesh(mesh, &plan) {
                 Ok(hits) => hits,
                 Err(e) => {
@@ -347,12 +343,4 @@ fn run_pass(
         query_s,
         mesh_query_s,
     }
-}
-
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[out] wrote {path}");
 }

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
-use tdess_bench::{standard_context, CORPUS_SEED, RESOLUTION};
+use tdess_bench::{standard_context, write_bench_json, write_or_die, CORPUS_SEED, RESOLUTION};
 use tdess_core::{save_to_path_binary, Query};
 use tdess_eval::render_table;
 use tdess_features::FeatureKind;
@@ -43,7 +43,7 @@ fn main() {
         }
         return;
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let smoke = tdess_bench::smoke();
 
     let exe = match std::env::current_exe() {
         Ok(p) => p,
@@ -142,8 +142,6 @@ fn main() {
     println!("{verdict}");
 
     let json = serde_json::json!({
-        "bench": "tab_repro",
-        "smoke": smoke,
         "corpus_seed": CORPUS_SEED,
         "resolution": RESOLUTION,
         "shapes": shapes,
@@ -156,14 +154,7 @@ fn main() {
             serde_json::json!({"build_s": build_b, "total_s": totals[1]}),
         ]),
     });
-    let pretty = match serde_json::to_string_pretty(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: serializing results: {e}");
-            std::process::exit(1);
-        }
-    };
-    write_or_die("BENCH_repro.json", &pretty);
+    write_bench_json("tab_repro", smoke, json);
     if !smoke {
         let _ = std::fs::create_dir_all("results");
         write_or_die(
@@ -208,9 +199,9 @@ fn worker(dir: &Path) {
             out.push('\n');
         }
     }
-    write_or_die_at(&dir.join("results.txt"), &out);
-    write_or_die_at(
-        &dir.join("meta.txt"),
+    write_or_die(dir.join("results.txt"), &out);
+    write_or_die(
+        dir.join("meta.txt"),
         &format!("{build_s} {}\n", ctx.db.len()),
     );
 }
@@ -254,19 +245,4 @@ fn read_meta(path: &Path) -> (f64, usize) {
             std::process::exit(1);
         }
     }
-}
-
-fn write_or_die_at(path: &Path, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: writing {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
-
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[out] wrote {path}");
 }

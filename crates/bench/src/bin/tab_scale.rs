@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tdess_bench::{quantile, CORPUS_SEED};
+use tdess_bench::{quantile, write_bench_json, write_or_die, CORPUS_SEED};
 use tdess_core::{
     load_from_path, save_to_path, save_to_path_binary, Query, SearchHit, SearchServer,
     ShapeDatabase,
@@ -82,7 +82,7 @@ struct IndexNumbers {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = tdess_bench::smoke();
     let scales: &[usize] = if smoke {
         &[1_000]
     } else {
@@ -243,21 +243,12 @@ fn main() {
     println!("{write_table}");
 
     let json = serde_json::json!({
-        "bench": "tab_scale",
-        "smoke": smoke,
         "corpus_seed": CORPUS_SEED,
         "anchor_resolution": ANCHOR_RESOLUTION,
         "queries_per_tree": QUERIES,
         "scales": serde_json::Value::Arr(scale_json),
     });
-    let pretty = match serde_json::to_string_pretty(&json) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: serializing results: {e}");
-            std::process::exit(1);
-        }
-    };
-    write_or_die("BENCH_scale.json", &pretty);
+    write_bench_json("tab_scale", smoke, json);
     if !smoke {
         let _ = std::fs::create_dir_all("results");
         write_or_die(
@@ -466,12 +457,4 @@ fn index_numbers(db: &ShapeDatabase, n: usize) -> IndexNumbers {
         str_nodes_per_query: str_stats.nodes_visited as f64 / query_count as f64,
         incr_nodes_per_query: incr_stats.nodes_visited as f64 / query_count as f64,
     }
-}
-
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[out] wrote {path}");
 }

@@ -42,7 +42,7 @@ pub use persist::{
     load, load_from_path, save, save_to_path, save_to_path_as, save_to_path_binary, sniff_format,
     FileOp, PersistError, SnapshotFormat,
 };
-pub use server::{bulk_insert, LatencySnapshots, LatencyStats, SearchServer, ServerMetrics};
+pub use server::{bulk_insert, SearchServer, ServerMetrics};
 pub use similarity::{similarity, threshold_to_radius, weighted_distance, Weights};
 pub use snapshot::{
     checksum64, load_binary, load_binary_bytes, save_binary, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

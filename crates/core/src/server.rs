@@ -22,11 +22,12 @@
 //!   an untouched node, so a write costs what it changes rather than
 //!   the size of the database. The replaced snapshot is released after
 //!   the swap, outside the lock readers take;
-//! * [`ServerMetrics`] — queries served, per-kind latency
-//!   min/mean/max plus p50/p90/p99 quantiles backed by the `tdess-obs`
-//!   log-linear histograms, aggregated index-traversal counters, and
-//!   snapshot-swap count, readable via [`SearchServer::metrics`] (raw
-//!   histogram snapshots via [`SearchServer::latency_snapshots`]);
+//! * [`ServerMetrics`] — queries served, aggregated index-traversal
+//!   counters and the snapshot-swap count, kept in lock-free counters
+//!   and read via [`SearchServer::metrics`]. The server does not time
+//!   queries: a front end times each request once, at its root span
+//!   (`tdess-net` keeps one latency histogram per request kind), and
+//!   the `tdess-obs` stage histograms time the work inside;
 //! * [`bulk_insert`] — feature extraction fanned out across worker
 //!   threads (extraction dominates insert cost by orders of
 //!   magnitude), with the index updates applied in one batch so ids
@@ -39,7 +40,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -47,110 +47,42 @@ use tdess_cache::{CacheConfig, CacheKey, CacheOutcome, CacheStatsSnapshot, Featu
 use tdess_features::{normalize, FeatureSet};
 use tdess_geom::TriMesh;
 use tdess_index::QueryStats;
-use tdess_obs::{Histogram, HistogramSnapshot, Stage, StageTimer, TagValue};
+use tdess_obs::{Counter, Stage, StageTimer, TagValue};
 
 use crate::db::{DbError, Query, SearchHit, ShapeDatabase, ShapeId};
 use crate::multistep::{multi_step_search_with_stats, MultiStepPlan};
 
-/// Latency summary (seconds) for one kind of query, derived from a
-/// `tdess-obs` log-linear histogram: exact count/min/mean/max plus
-/// p50/p90/p99 quantiles (≤6.25% relative error).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct LatencyStats {
-    /// Number of queries recorded.
-    pub count: u64,
-    /// Fastest query, seconds.
-    pub min_s: f64,
-    /// Mean latency, seconds.
-    pub mean_s: f64,
-    /// Slowest query, seconds.
-    pub max_s: f64,
-    /// Median latency, seconds.
-    #[serde(default)]
-    pub p50_s: f64,
-    /// 90th-percentile latency, seconds.
-    #[serde(default)]
-    pub p90_s: f64,
-    /// 99th-percentile latency, seconds.
-    #[serde(default)]
-    pub p99_s: f64,
-}
-
-impl LatencyStats {
-    /// Summarizes a histogram snapshot; `None` when it holds no
-    /// samples, so "no data" is never confused with a genuine 0s
-    /// minimum by JSON consumers.
-    pub fn from_snapshot(snap: &HistogramSnapshot) -> Option<LatencyStats> {
-        if snap.is_empty() {
-            return None;
-        }
-        Some(LatencyStats {
-            count: snap.count(),
-            min_s: snap.min_seconds(),
-            mean_s: snap.mean_seconds(),
-            max_s: snap.max_seconds(),
-            p50_s: snap.quantile_seconds(0.5),
-            p90_s: snap.quantile_seconds(0.9),
-            p99_s: snap.quantile_seconds(0.99),
-        })
-    }
-}
-
-/// A point-in-time view of the server's query metrics.
-///
-/// The latency summaries are `None` until the first query of that
-/// class is served (serialized as `null` / absent on the wire).
+/// A point-in-time view of the server's query counters. Each counter
+/// is read on its own, so a view taken while queries run may count a
+/// query in `queries_served` whose index work it does not yet include.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerMetrics {
     /// Total queries served (one-shot + multi-step).
     pub queries_served: u64,
-    /// Latency of one-shot searches (extraction + index search).
-    #[serde(default)]
-    pub one_shot: Option<LatencyStats>,
-    /// Latency of multi-step searches.
-    #[serde(default)]
-    pub multi_step: Option<LatencyStats>,
-    /// End-to-end request handling latency recorded by a transport
-    /// layer (e.g. `tdess-net`: frame decode + dispatch + encode).
-    /// Absent for servers only driven in-process.
-    #[serde(default)]
-    pub transport: Option<LatencyStats>,
     /// Index traversal counters aggregated over every query served.
     pub index_stats: QueryStats,
     /// How many times a writer published a new snapshot.
     pub snapshot_swaps: u64,
 }
 
-/// Raw latency histogram snapshots for one metrics read, in the
-/// one-shot / multi-step / transport classes. External renderers (the
-/// Prometheus exposition in `tdess-net`) consume these directly so
-/// quantiles and bucket series come from the same instant.
-#[derive(Debug, Clone)]
-pub struct LatencySnapshots {
-    /// One-shot search latency histogram.
-    pub one_shot: HistogramSnapshot,
-    /// Multi-step search latency histogram.
-    pub multi_step: HistogramSnapshot,
-    /// Transport-level request handling latency histogram.
-    pub transport: HistogramSnapshot,
-}
-
-/// Interior metrics state. The histograms record via relaxed atomics;
-/// the mutex guards the traversal counters and swap count.
+/// The lock-free counters behind [`ServerMetrics`].
 #[derive(Debug, Default)]
-struct MetricsAccum {
-    one_shot: Histogram,
-    multi_step: Histogram,
-    transport: Histogram,
-    index_stats: QueryStats,
-    snapshot_swaps: u64,
+struct Counters {
+    queries_served: Counter,
+    nodes_visited: Counter,
+    leaves_visited: Counter,
+    entries_checked: Counter,
+    snapshot_swaps: Counter,
 }
 
-/// Which latency accumulator a query records into.
-#[derive(Clone, Copy)]
-enum QueryClass {
-    OneShot,
-    MultiStep,
+impl Counters {
+    /// Counts one served query and the index work it did.
+    fn count_query(&self, stats: &QueryStats) {
+        self.queries_served.add(1);
+        self.nodes_visited.add(stats.nodes_visited as u64);
+        self.leaves_visited.add(stats.leaves_visited as u64);
+        self.entries_checked.add(stats.entries_checked as u64);
+    }
 }
 
 /// Shared server state.
@@ -160,7 +92,7 @@ struct ServerInner {
     snapshot: RwLock<Arc<ShapeDatabase>>,
     /// Serializes writers (clone → mutate → publish).
     writer: Mutex<()>,
-    metrics: Mutex<MetricsAccum>,
+    counters: Counters,
     /// Content-addressed extraction cache shared by every handle
     /// clone, or `None` when caching is disabled.
     cache: Option<Arc<FeatureCache>>,
@@ -195,7 +127,7 @@ impl SearchServer {
             inner: Arc::new(ServerInner {
                 snapshot: RwLock::new(Arc::new(db)),
                 writer: Mutex::new(()),
-                metrics: Mutex::new(MetricsAccum::default()),
+                counters: Counters::default(),
                 cache,
             }),
         }
@@ -223,8 +155,7 @@ impl SearchServer {
     fn publish(&self, db: ShapeDatabase) {
         let next = Arc::new(db);
         let _previous = std::mem::replace(&mut *self.inner.snapshot.write(), next);
-        // hotpath: allow(hot-block) — one-line critical section swapping the published snapshot
-        self.inner.metrics.lock().snapshot_swaps += 1;
+        self.inner.counters.snapshot_swaps.add(1);
     }
 
     /// The write path: under the writer mutex, derive the next
@@ -241,17 +172,6 @@ impl SearchServer {
         let out = apply(&mut db)?;
         self.publish(db);
         Ok(out)
-    }
-
-    fn record(&self, class: QueryClass, elapsed: Duration, stats: &QueryStats) {
-        // hotpath: allow(hot-block) — one-line critical section appending a stat sample
-        let mut guard = self.inner.metrics.lock();
-        let m = &mut *guard;
-        match class {
-            QueryClass::OneShot => m.one_shot.record(elapsed),
-            QueryClass::MultiStep => m.multi_step.record(elapsed),
-        }
-        m.index_stats.merge(stats);
     }
 
     /// Extracts features for a query mesh, timing the whole extraction
@@ -314,12 +234,10 @@ impl SearchServer {
         mesh: &TriMesh,
         query: &Query,
     ) -> Result<Vec<SearchHit>, DbError> {
-        // determinism: allow(time-taint) — t0 feeds the query-class latency histograms only; search hits carry no clock values
-        let t0 = Instant::now();
         let features = self.extract_timed(snap, mesh)?;
         let mut stats = QueryStats::default();
         let hits = snap.search_with_stats(&features, query, &mut stats);
-        self.record(QueryClass::OneShot, t0.elapsed(), &stats);
+        self.inner.counters.count_query(&stats);
         Ok(hits)
     }
 
@@ -337,10 +255,9 @@ impl SearchServer {
         features: &FeatureSet,
         query: &Query,
     ) -> Vec<SearchHit> {
-        let t0 = Instant::now();
         let mut stats = QueryStats::default();
         let hits = snap.search_with_stats(features, query, &mut stats);
-        self.record(QueryClass::OneShot, t0.elapsed(), &stats);
+        self.inner.counters.count_query(&stats);
         hits
     }
 
@@ -362,12 +279,10 @@ impl SearchServer {
         mesh: &TriMesh,
         plan: &MultiStepPlan,
     ) -> Result<Vec<SearchHit>, DbError> {
-        // determinism: allow(time-taint) — t0 feeds the query-class latency histograms only; search hits carry no clock values
-        let t0 = Instant::now();
         let features = self.extract_timed(snap, mesh)?;
         let mut stats = QueryStats::default();
         let hits = multi_step_search_with_stats(snap, &features, plan, &mut stats);
-        self.record(QueryClass::MultiStep, t0.elapsed(), &stats);
+        self.inner.counters.count_query(&stats);
         Ok(hits)
     }
 
@@ -409,38 +324,17 @@ impl SearchServer {
         f(&self.snapshot())
     }
 
-    /// Records the end-to-end handling latency of one transport-level
-    /// request (decode + dispatch + encode). Called by network front
-    /// ends such as `tdess-net`; in-process callers never need it.
-    pub fn record_transport(&self, elapsed: Duration) {
-        self.inner.metrics.lock().transport.record(elapsed);
-    }
-
-    /// A point-in-time copy of the server's query metrics.
+    /// A point-in-time reading of the server's query counters.
     pub fn metrics(&self) -> ServerMetrics {
-        // hotpath: allow(hot-block) — short lock to copy counters for the metrics reply
-        let m = self.inner.metrics.lock();
-        let one_shot = m.one_shot.snapshot();
-        let multi_step = m.multi_step.snapshot();
+        let c = &self.inner.counters;
         ServerMetrics {
-            queries_served: one_shot.count() + multi_step.count(),
-            one_shot: LatencyStats::from_snapshot(&one_shot),
-            multi_step: LatencyStats::from_snapshot(&multi_step),
-            transport: LatencyStats::from_snapshot(&m.transport.snapshot()),
-            index_stats: m.index_stats,
-            snapshot_swaps: m.snapshot_swaps,
-        }
-    }
-
-    /// Raw latency histogram snapshots (one-shot, multi-step,
-    /// transport) for renderers that need bucket-level detail, such as
-    /// the Prometheus `/metrics` exposition.
-    pub fn latency_snapshots(&self) -> LatencySnapshots {
-        let m = self.inner.metrics.lock();
-        LatencySnapshots {
-            one_shot: m.one_shot.snapshot(),
-            multi_step: m.multi_step.snapshot(),
-            transport: m.transport.snapshot(),
+            queries_served: c.queries_served.get(),
+            index_stats: QueryStats {
+                nodes_visited: c.nodes_visited.get() as usize,
+                leaves_visited: c.leaves_visited.get() as usize,
+                entries_checked: c.entries_checked.get() as usize,
+            },
+            snapshot_swaps: c.snapshot_swaps.get(),
         }
     }
 }
@@ -608,9 +502,7 @@ mod tests {
             }
         })
         .unwrap();
-        let m = server.metrics();
-        assert_eq!(m.queries_served, 8);
-        assert_eq!(m.one_shot.unwrap().count, 8);
+        assert_eq!(server.metrics().queries_served, 8);
     }
 
     #[test]
@@ -647,10 +539,8 @@ mod tests {
             .unwrap();
         assert_eq!(hits.len(), 3);
         let m = server.metrics();
-        let ms = m.multi_step.unwrap();
-        assert_eq!(ms.count, 1);
-        assert!(ms.max_s >= ms.min_s);
-        assert!(m.one_shot.is_none(), "no one-shot queries ran");
+        assert_eq!(m.queries_served, 1);
+        assert!(m.index_stats.nodes_visited > 0);
     }
 
     #[test]
@@ -672,25 +562,23 @@ mod tests {
         bulk_insert(&mut db, meshes(4), 2).unwrap();
         let server = SearchServer::new(db);
         let mesh = primitives::box_mesh(Vec3::new(2.0, 1.0, 0.5));
+        let query = Query::top_k(FeatureKind::PrincipalMoments, 2);
         for _ in 0..3 {
-            server
-                .search_mesh(&mesh, &Query::top_k(FeatureKind::PrincipalMoments, 2))
-                .unwrap();
+            server.search_mesh(&mesh, &query).unwrap();
         }
+        // Every query ran on the same snapshot with the same features,
+        // so the totals are exactly three times one query's work.
+        let features = extractor().extract(&mesh).unwrap();
+        let mut one = QueryStats::default();
+        server
+            .snapshot()
+            .search_with_stats(&features, &query, &mut one);
+        assert!(one.nodes_visited > 0 && one.entries_checked > 0);
         let m = server.metrics();
         assert_eq!(m.queries_served, 3);
-        let os = m.one_shot.unwrap();
-        assert_eq!(os.count, 3);
-        assert!(os.min_s <= os.mean_s);
-        assert!(os.mean_s <= os.max_s);
-        assert!(os.min_s > 0.0);
-        // Quantiles are ordered and stay inside the observed range.
-        assert!(os.min_s <= os.p50_s);
-        assert!(os.p50_s <= os.p90_s);
-        assert!(os.p90_s <= os.p99_s);
-        assert!(os.p99_s <= os.max_s);
-        assert!(m.index_stats.nodes_visited > 0);
-        assert!(m.index_stats.entries_checked > 0);
+        assert_eq!(m.index_stats.nodes_visited, 3 * one.nodes_visited);
+        assert_eq!(m.index_stats.leaves_visited, 3 * one.leaves_visited);
+        assert_eq!(m.index_stats.entries_checked, 3 * one.entries_checked);
         assert_eq!(m.snapshot_swaps, 0);
     }
 
@@ -821,7 +709,8 @@ mod tests {
         let mesh = primitives::uv_sphere(1.0, 16, 8);
         let query = Query::top_k(FeatureKind::PrincipalMoments, 2);
 
-        let guard = tdess_obs::begin_request("core-span-test", "search_mesh");
+        let guard =
+            tdess_obs::begin_request("core-span-test", "search_mesh", std::time::Instant::now());
         server.search_mesh(&mesh, &query).unwrap(); // cold: miss
         server.search_mesh(&mesh, &query).unwrap(); // warm: hit
         let t = tdess_obs::TraceGuard::finish(guard, false).expect("trace collected");

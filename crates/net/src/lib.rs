@@ -9,8 +9,9 @@
 //! * **server** ([`server`]) — [`NetServer`], a bounded thread-pool
 //!   front end with explicit backpressure (`Busy` replies when the
 //!   accept queue is full), per-connection timeouts, transport
-//!   counters, and a graceful shutdown that never drops an in-flight
-//!   request;
+//!   counters, one latency histogram per request kind timed by the
+//!   request's root span, and a graceful shutdown that never drops an
+//!   in-flight request;
 //! * **client** ([`client`]) — [`NetClient`], a blocking typed client
 //!   with connect/request timeouts and reconnect-on-broken-pipe for
 //!   idempotent requests;
@@ -37,8 +38,8 @@ pub mod server;
 pub use client::{NetClient, NetClientConfig};
 pub use metrics::{MetricsRenderer, MetricsRoute, MetricsServer};
 pub use proto::{
-    ErrorKind, ErrorReply, Hello, HitsReport, InfoReport, NamedHit, Request, RequestEnvelope,
-    Response, SpaceInfo, StageStats, StatsReport, TracesReport, TransportStats, WireError,
-    DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
+    ErrorKind, ErrorReply, Hello, HitsReport, InfoReport, LatencyStats, NamedHit, Request,
+    RequestEnvelope, RequestStats, Response, SpaceInfo, StageStats, StatsReport, TracesReport,
+    TransportStats, WireError, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{NetServer, NetServerConfig, TransportCounters};

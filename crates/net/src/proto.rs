@@ -35,7 +35,7 @@ use tdess_core::MultiStepPlan;
 use tdess_core::{CacheStatsSnapshot, Query, SearchHit, ServerMetrics, ShapeDatabase, ShapeId};
 use tdess_features::{FeatureKind, FeatureSet};
 use tdess_geom::TriMesh;
-use tdess_obs::RequestTrace;
+use tdess_obs::{Histogram, HistogramSnapshot, RequestTrace};
 
 /// Version of the wire protocol spoken by this build. Bumped on any
 /// incompatible frame or payload change; the handshake rejects peers
@@ -136,6 +136,35 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every variant's name, in declaration order: the label of a
+    /// request kind in traces, events and per-kind latency series.
+    pub const KINDS: [&'static str; 9] = [
+        "SearchFeatures",
+        "SearchMesh",
+        "MultiStep",
+        "Insert",
+        "Remove",
+        "Info",
+        "Stats",
+        "Traces",
+        "Ping",
+    ];
+
+    /// This request's index into [`Request::KINDS`].
+    pub fn kind(&self) -> usize {
+        match self {
+            Request::SearchFeatures { .. } => 0,
+            Request::SearchMesh { .. } => 1,
+            Request::MultiStep { .. } => 2,
+            Request::Insert { .. } => 3,
+            Request::Remove { .. } => 4,
+            Request::Info => 5,
+            Request::Stats => 6,
+            Request::Traces { .. } => 7,
+            Request::Ping => 8,
+        }
+    }
+
     /// Whether retrying this request after a connection failure is
     /// safe (it does not mutate the database).
     pub fn is_idempotent(&self) -> bool {
@@ -207,7 +236,7 @@ impl HitsReport {
                 .iter()
                 .map(|h| NamedHit {
                     id: h.id,
-                    // hotpath: allow(hot-alloc) — the error reply owns its message
+                    // hotpath: allow(hot-alloc) — the reply owns a copy of each hit's name
                     name: db.get(h.id).map(|s| s.name.clone()).unwrap_or_default(),
                     distance: h.distance,
                     similarity: h.similarity,
@@ -275,8 +304,66 @@ pub struct TransportStats {
     pub frames_decoded: u64,
     /// Frames rejected as malformed, truncated, or over-limit.
     pub decode_errors: u64,
-    /// Requests answered with a response frame.
+    /// Decoded requests answered with a response frame. A frame that
+    /// fails to decode counts only as a decode error.
     pub requests_served: u64,
+}
+
+/// Latency summary (seconds) of one histogram: exact
+/// count/min/mean/max plus p50/p90/p99 quantiles (≤6.25% relative
+/// error).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct LatencyStats {
+    /// Number of samples recorded.
+    pub count: u64,
+    /// Fastest sample, seconds.
+    pub min_s: f64,
+    /// Mean latency, seconds.
+    pub mean_s: f64,
+    /// Slowest sample, seconds.
+    pub max_s: f64,
+    /// Median latency, seconds.
+    #[serde(default)]
+    pub p50_s: f64,
+    /// 90th-percentile latency, seconds.
+    #[serde(default)]
+    pub p90_s: f64,
+    /// 99th-percentile latency, seconds.
+    #[serde(default)]
+    pub p99_s: f64,
+}
+
+impl LatencyStats {
+    /// Summarizes a histogram snapshot; `None` when it holds no
+    /// samples, so "no data" is never confused with a genuine 0s
+    /// minimum by JSON consumers.
+    pub fn from_snapshot(snap: &HistogramSnapshot) -> Option<LatencyStats> {
+        if snap.is_empty() {
+            return None;
+        }
+        Some(LatencyStats {
+            count: snap.count(),
+            min_s: snap.min_seconds(),
+            mean_s: snap.mean_seconds(),
+            max_s: snap.max_seconds(),
+            p50_s: snap.quantile_seconds(0.5),
+            p90_s: snap.quantile_seconds(0.9),
+            p99_s: snap.quantile_seconds(0.99),
+        })
+    }
+}
+
+/// One row per labelled series that holds samples, in series order.
+fn summaries<'a, T>(
+    series: impl Iterator<Item = (&'a str, HistogramSnapshot)>,
+    row: impl Fn(String, LatencyStats) -> T,
+) -> Vec<T> {
+    series
+        .filter_map(|(label, snap)| {
+            // hotpath: allow(hot-alloc) — the stats reply assembles the returned summary
+            LatencyStats::from_snapshot(&snap).map(|latency| row(label.to_string(), latency))
+        })
+        .collect()
 }
 
 /// Latency summary of one instrumented pipeline/query stage, keyed by
@@ -286,26 +373,40 @@ pub struct StageStats {
     /// Stage name (e.g. `voxelize`, `index_search`).
     pub stage: String,
     /// The stage's latency summary with quantiles.
-    pub latency: ServerLatency,
+    pub latency: LatencyStats,
 }
-
-/// Re-export alias so [`StageStats`] reads naturally on the wire.
-pub type ServerLatency = tdess_core::LatencyStats;
 
 impl StageStats {
     /// Builds the per-stage summaries from the process-wide stage
     /// histograms, skipping stages that never ran.
     pub fn collect() -> Vec<StageStats> {
-        tdess_obs::stage_snapshots()
-            .into_iter()
-            .filter_map(|(stage, snap)| {
-                ServerLatency::from_snapshot(&snap).map(|latency| StageStats {
-                    // hotpath: allow(hot-alloc) — the stats reply assembles the returned summary
-                    stage: stage.name().to_string(),
-                    latency,
-                })
-            })
-            .collect()
+        let stages = tdess_obs::stage_snapshots().into_iter();
+        summaries(
+            stages.map(|(s, snap)| (s.name(), snap)),
+            |stage, latency| StageStats { stage, latency },
+        )
+    }
+}
+
+/// Latency summary of one request kind, measured by the network
+/// server from the frame's arrival to the reply's write — the
+/// request's root span.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RequestStats {
+    /// Request kind, one of [`Request::KINDS`].
+    pub request: String,
+    /// The kind's latency summary with quantiles.
+    pub latency: LatencyStats,
+}
+
+impl RequestStats {
+    /// Builds the per-kind summaries from histograms indexed like
+    /// [`Request::KINDS`], skipping kinds that were never served.
+    pub fn collect(latency: &[Histogram]) -> Vec<RequestStats> {
+        let kinds = Request::KINDS.into_iter().zip(latency);
+        summaries(kinds.map(|(k, h)| (k, h.snapshot())), |request, latency| {
+            RequestStats { request, latency }
+        })
     }
 }
 
@@ -323,6 +424,10 @@ pub struct StatsReport {
     /// ignored by pre-obs clients).
     #[serde(default)]
     pub stages: Vec<StageStats>,
+    /// Per-request-kind latency summaries, one row for each kind served
+    /// so far (empty from older servers, and ignored by older clients).
+    #[serde(default)]
+    pub requests: Vec<RequestStats>,
     /// Extraction-cache counters; `None` from servers running without
     /// a cache (or predating one), so older reports still decode.
     #[serde(default)]
@@ -798,17 +903,22 @@ mod tests {
             transport: TransportStats::default(),
             stages: vec![StageStats {
                 stage: "voxelize".into(),
-                latency: ServerLatency::default(),
+                latency: LatencyStats::default(),
+            }],
+            requests: vec![RequestStats {
+                request: "Ping".into(),
+                latency: LatencyStats::default(),
             }],
             cache: Some(CacheStatsSnapshot::default()),
         };
         let mut value = report.to_value();
         if let serde::Value::Obj(pairs) = &mut value {
-            pairs.retain(|(k, _)| k != "stages" && k != "cache");
+            pairs.retain(|(k, _)| k != "stages" && k != "requests" && k != "cache");
         }
         let back = StatsReport::from_value(&value).unwrap();
         assert_eq!(back.shapes, 3);
         assert!(back.stages.is_empty());
+        assert!(back.requests.is_empty());
         assert!(back.cache.is_none(), "missing cache key defaults to None");
     }
 

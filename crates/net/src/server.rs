@@ -24,7 +24,7 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,12 +32,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel;
 use tdess_core::{DbError, QueryMode, SearchServer, Weights};
 use tdess_features::{FeatureKind, FeatureSet};
-use tdess_obs::{event, FlightRecorder, RecorderConfig, TraceGuard};
+use tdess_obs::{event, Counter, FlightRecorder, Histogram, RecorderConfig, TraceGuard};
 
 use crate::proto::{
     decode, decode_request, encode, write_frame, ErrorKind, ErrorReply, Hello, HitsReport,
-    InfoReport, Request, Response, StageStats, StatsReport, TracesReport, TransportStats,
-    WireError, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
+    InfoReport, Request, RequestStats, Response, StageStats, StatsReport, TracesReport,
+    TransportStats, WireError, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
 };
 
 /// Event target for this module's structured log events.
@@ -91,11 +91,11 @@ impl Default for NetServerConfig {
 /// [`TransportStats`] for `Stats` responses.
 #[derive(Debug, Default)]
 pub struct TransportCounters {
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    frames_decoded: AtomicU64,
-    decode_errors: AtomicU64,
-    requests_served: AtomicU64,
+    connections_accepted: Counter,
+    connections_rejected: Counter,
+    frames_decoded: Counter,
+    decode_errors: Counter,
+    requests_served: Counter,
 }
 
 impl TransportCounters {
@@ -104,24 +104,12 @@ impl TransportCounters {
     /// promised).
     pub fn snapshot(&self) -> TransportStats {
         TransportStats {
-            connections_accepted: Self::load(&self.connections_accepted),
-            connections_rejected: Self::load(&self.connections_rejected),
-            frames_decoded: Self::load(&self.frames_decoded),
-            decode_errors: Self::load(&self.decode_errors),
-            requests_served: Self::load(&self.requests_served),
+            connections_accepted: self.connections_accepted.get(),
+            connections_rejected: self.connections_rejected.get(),
+            frames_decoded: self.frames_decoded.get(),
+            decode_errors: self.decode_errors.get(),
+            requests_served: self.requests_served.get(),
         }
-    }
-
-    /// All cells are pure event counters: each is complete in itself,
-    /// publishes no other memory, and `snapshot` documents that
-    /// cross-counter consistency is not promised — so Relaxed is the
-    /// correct ordering on both sides.
-    fn load(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed) // audit: ordering(pure event counter; no data published, loose snapshot documented)
-    }
-
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed); // audit: ordering(pure event counter; atomic RMW loses no increments, no data published)
     }
 }
 
@@ -131,6 +119,12 @@ struct NetShared {
     cfg: NetServerConfig,
     shutdown: AtomicBool,
     counters: TransportCounters,
+    /// Request latency, one histogram per [`Request::KINDS`] entry:
+    /// each request's root span, from frame arrival to reply written.
+    /// Built on the heap one histogram at a time: as an array value,
+    /// its 70 kB would pass through the stack on the way into the
+    /// `Arc`, and the touched stack pages stay resident.
+    latency: Box<[Histogram]>,
     /// Completed request traces under tail-based sampling, served by
     /// the `Traces` wire request and the `/traces` metrics route.
     recorder: Arc<FlightRecorder>,
@@ -166,6 +160,7 @@ impl NetServer {
             cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
             counters: TransportCounters::default(),
+            latency: Request::KINDS.iter().map(|_| Histogram::new()).collect(),
             recorder: Arc::new(FlightRecorder::new(RecorderConfig {
                 capacity: cfg.trace_capacity,
                 slow: cfg.slow_request,
@@ -239,22 +234,12 @@ impl NetServer {
         }
     }
 
-    /// Number of accepted connections waiting for a free worker.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    /// Renders the current Prometheus metrics page (text exposition
-    /// format 0.0.4): transport counters, queue depth, query/latency
-    /// summaries with p50/p90/p99, and per-extraction-stage histograms.
-    pub fn metrics_page(&self) -> String {
-        render_metrics(&self.shared)
-    }
-
-    /// A closure rendering [`NetServer::metrics_page`] that holds only
-    /// the shared state — hand it to a
-    /// [`crate::metrics::MetricsServer`] so the exposition endpoint
-    /// outlives borrows of the `NetServer` handle itself.
+    /// A closure rendering the current Prometheus metrics page (text
+    /// exposition format 0.0.4): counters, gauges, and the per-request
+    /// and per-stage latency histograms. It holds only the shared
+    /// state — hand it to a [`crate::metrics::MetricsServer`] so the
+    /// exposition endpoint outlives borrows of the `NetServer` handle
+    /// itself.
     pub fn metrics_renderer(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
         let shared = Arc::clone(&self.shared);
         Arc::new(move || render_metrics(&shared))
@@ -305,7 +290,7 @@ fn render_metrics(shared: &NetShared) -> String {
     );
     page.counter(
         "tdess_requests_served_total",
-        "Requests answered with a response frame.",
+        "Decoded requests answered with a response frame.",
         transport.requests_served,
     );
     page.gauge(
@@ -318,31 +303,26 @@ fn render_metrics(shared: &NetShared) -> String {
         "Accepted connections waiting for a free worker.",
         shared.queue.len() as f64,
     );
-    let lat = shared.search.latency_snapshots();
-    page.summary(
-        "tdess_one_shot_latency_seconds",
-        "One-shot query latency.",
-        &lat.one_shot,
+    let requests: Vec<(&str, tdess_obs::HistogramSnapshot)> = Request::KINDS
+        .into_iter()
+        .zip(&shared.latency)
+        .map(|(kind, hist)| (kind, hist.snapshot()))
+        .collect();
+    page.stage_histograms(
+        "tdess_request_duration_seconds",
+        "Request latency from frame arrival to reply written, labeled by request kind.",
+        "request",
+        &requests,
     );
-    page.summary(
-        "tdess_multi_step_latency_seconds",
-        "Multi-step query latency.",
-        &lat.multi_step,
-    );
-    page.summary(
-        "tdess_transport_latency_seconds",
-        "Per-request transport latency (decode to response sent).",
-        &lat.transport,
-    );
-    let stages = tdess_obs::stage_snapshots();
-    let labeled: Vec<(&str, tdess_obs::HistogramSnapshot)> = stages
+    let stages: Vec<(&str, tdess_obs::HistogramSnapshot)> = tdess_obs::stage_snapshots()
         .into_iter()
         .map(|(stage, snap)| (stage.name(), snap))
         .collect();
     page.stage_histograms(
         "tdess_stage_duration_seconds",
         "Pipeline stage durations, labeled by stage.",
-        &labeled,
+        "stage",
+        &stages,
     );
     // Extraction-cache families only exist when the server runs one,
     // so a scrape distinguishes "cache off" from "cache cold".
@@ -432,7 +412,7 @@ fn accept_loop(listener: &TcpListener, tx: &channel::Sender<TcpStream>, shared: 
 
 /// Answers a turned-away connection with one typed error frame.
 fn reject(shared: &NetShared, mut stream: TcpStream, kind: ErrorKind, message: &str) {
-    TransportCounters::bump(&shared.counters.connections_rejected);
+    shared.counters.connections_rejected.add(1);
     event!(Debug, TARGET, "connection rejected: {kind:?} ({message})");
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     if let Ok(payload) = encode(&Response::Error(ErrorReply::new(kind, message))) {
@@ -455,7 +435,7 @@ fn worker_loop(rx: &channel::Receiver<TcpStream>, shared: &NetShared) {
             );
             continue;
         }
-        TransportCounters::bump(&shared.counters.connections_accepted);
+        shared.counters.connections_accepted.add(1);
         handle_connection(shared, stream);
     }
     event!(Debug, TARGET, "worker exiting");
@@ -632,7 +612,7 @@ fn handle_connection(shared: &NetShared, stream: TcpStream) {
                 return;
             }
             Ok(Incoming::TooLarge { len, max }) => {
-                TransportCounters::bump(&shared.counters.decode_errors);
+                shared.counters.decode_errors.add(1);
                 event!(
                     Warn,
                     TARGET,
@@ -647,27 +627,26 @@ fn handle_connection(shared: &NetShared, stream: TcpStream) {
                 }
             }
             Ok(Incoming::Frame(payload)) => {
-                // determinism: allow(time-taint) — transport latency feeds the metrics histograms; reply frames never embed it
-                let t0 = Instant::now();
-                let resp = match decode_request(&payload) {
+                // determinism: allow(time-taint) — the request clock feeds latency histograms, events and trace retention; reply frames never embed it
+                let arrived = Instant::now();
+                let sent = match decode_request(&payload) {
                     Ok((trace_id, req)) => {
-                        TransportCounters::bump(&shared.counters.frames_decoded);
-                        serve_request(shared, trace_id, req, t0)
+                        shared.counters.frames_decoded.add(1);
+                        answer(&mut conn, trace_id, req, arrived)
                     }
                     Err(e) => {
-                        TransportCounters::bump(&shared.counters.decode_errors);
+                        shared.counters.decode_errors.add(1);
                         event!(Warn, TARGET, "malformed frame from {peer}: {e}");
-                        Response::Error(ErrorReply::new(ErrorKind::Malformed, e.to_string()))
+                        let reply = ErrorReply::new(ErrorKind::Malformed, e.to_string());
+                        conn.send(&Response::Error(reply)).is_ok()
                     }
                 };
-                if conn.send(&resp).is_err() {
+                if !sent {
                     return;
                 }
-                TransportCounters::bump(&shared.counters.requests_served);
-                shared.search.record_transport(t0.elapsed());
             }
             Err(_) => {
-                TransportCounters::bump(&shared.counters.decode_errors);
+                shared.counters.decode_errors.add(1);
                 event!(Debug, TARGET, "connection from {peer} dropped mid-frame");
                 return;
             }
@@ -675,65 +654,51 @@ fn handle_connection(shared: &NetShared, stream: TcpStream) {
     }
 }
 
-/// Dispatches one decoded request under its trace id (generating one
-/// when the client sent none), collecting the request's span tree and
-/// offering it to the flight recorder, emitting a debug event per
-/// request and a warn-level slow-query event past
-/// [`NetServerConfig::slow_request`].
-fn serve_request(
-    shared: &NetShared,
-    trace_id: Option<String>,
-    req: Request,
-    t0: Instant,
-) -> Response {
+/// Answers one decoded request under its trace id (generating one when
+/// the client sent none). The request's root span opened when its
+/// frame `arrived`; it stays open through dispatch and the reply's
+/// write, so its one duration is the request's latency. That duration
+/// feeds the kind's latency histogram, the debug event, the warn-level
+/// slow-request event past [`NetServerConfig::slow_request`], and the
+/// flight recorder's slow rule. Returns whether the reply was written;
+/// a request whose reply was not is not recorded.
+fn answer(conn: &mut Conn<'_>, trace_id: Option<String>, req: Request, arrived: Instant) -> bool {
+    let shared = conn.shared;
+    let kind = req.kind();
+    let name = Request::KINDS[kind];
     let trace_id = trace_id.unwrap_or_else(tdess_obs::gen_trace_id);
-    let kind = request_name(&req);
-    // The root span opens before dispatch so every StageTimer the
-    // request reaches hangs its span off this tree (same thread).
-    let guard = tdess_obs::begin_request(&trace_id, kind);
-    let run = || {
+    // Every StageTimer the dispatch reaches hangs its span off this
+    // tree (same thread).
+    let guard = tdess_obs::begin_request(&trace_id, name, arrived);
+    tdess_obs::with_trace_id(Some(trace_id), || {
         let resp = dispatch(shared, req);
-        // determinism: allow(time-taint) — elapsed drives the debug event and the slow-query recorder threshold, not the response bytes
-        let elapsed = t0.elapsed();
+        if conn.send(&resp).is_err() {
+            return false;
+        }
+        shared.counters.requests_served.add(1);
+        // Worker threads never nest traces, so the guard is armed.
+        let Some(trace) = TraceGuard::finish(guard, matches!(resp, Response::Error(_))) else {
+            return true;
+        };
+        let elapsed = Duration::from_micros(trace.dur_us);
+        shared.latency[kind].record(elapsed);
         event!(
             Debug,
             TARGET,
-            "request {kind} served in {:.3} ms",
+            "request {name} served in {:.3} ms",
             elapsed.as_secs_f64() * 1e3
         );
         if elapsed >= shared.cfg.slow_request {
             // event_kv! renders the fields only when Warn passes the
             // filter, so a disabled logger costs no allocations here.
             tdess_obs::event_kv!(Warn, TARGET, "slow request", {
-                request: kind,
+                request: name,
                 elapsed_ms: format_args!("{:.3}", elapsed.as_secs_f64() * 1e3),
             });
         }
-        resp
-    };
-    let resp = tdess_obs::with_trace_id(Some(trace_id), run);
-    let errored = matches!(resp, Response::Error(_));
-    // Fully qualified: `.finish(...)` would pull every workspace
-    // `finish` into the static hot-path scan's reachable set.
-    if let Some(trace) = TraceGuard::finish(guard, errored) {
         shared.recorder.offer(trace);
-    }
-    resp
-}
-
-/// Stable request-variant label for log events.
-fn request_name(req: &Request) -> &'static str {
-    match req {
-        Request::SearchFeatures { .. } => "SearchFeatures",
-        Request::SearchMesh { .. } => "SearchMesh",
-        Request::MultiStep { .. } => "MultiStep",
-        Request::Insert { .. } => "Insert",
-        Request::Remove { .. } => "Remove",
-        Request::Info => "Info",
-        Request::Stats => "Stats",
-        Request::Traces { .. } => "Traces",
-        Request::Ping => "Ping",
-    }
+        true
+    })
 }
 
 /// Performs the server side of the handshake. Returns whether the
@@ -743,7 +708,7 @@ fn handshake(conn: &mut Conn<'_>) -> bool {
     match conn.next_frame() {
         Ok(Incoming::Closed) => false,
         Ok(Incoming::TooLarge { len, max }) => {
-            TransportCounters::bump(&shared.counters.decode_errors);
+            shared.counters.decode_errors.add(1);
             let _ = conn.send(&Response::Error(ErrorReply::new(
                 ErrorKind::FrameTooLarge,
                 format!("handshake frame of {len} bytes exceeds the {max}-byte limit"),
@@ -752,14 +717,14 @@ fn handshake(conn: &mut Conn<'_>) -> bool {
         }
         Ok(Incoming::Frame(payload)) => match decode::<Hello>(&payload) {
             Ok(hello) if hello.compatible() => {
-                TransportCounters::bump(&shared.counters.frames_decoded);
+                shared.counters.frames_decoded.add(1);
                 conn.send(&Response::HelloAck {
                     version: PROTOCOL_VERSION,
                 })
                 .is_ok()
             }
             Ok(hello) => {
-                TransportCounters::bump(&shared.counters.decode_errors);
+                shared.counters.decode_errors.add(1);
                 let _ = conn.send(&Response::Error(ErrorReply::new(
                     ErrorKind::VersionMismatch,
                     format!(
@@ -770,7 +735,7 @@ fn handshake(conn: &mut Conn<'_>) -> bool {
                 false
             }
             Err(e) => {
-                TransportCounters::bump(&shared.counters.decode_errors);
+                shared.counters.decode_errors.add(1);
                 let _ = conn.send(&Response::Error(ErrorReply::new(
                     ErrorKind::Malformed,
                     format!("expected Hello handshake: {e}"),
@@ -779,7 +744,7 @@ fn handshake(conn: &mut Conn<'_>) -> bool {
             }
         },
         Err(_) => {
-            TransportCounters::bump(&shared.counters.decode_errors);
+            shared.counters.decode_errors.add(1);
             false
         }
     }
@@ -918,6 +883,7 @@ fn dispatch(shared: &NetShared, req: Request) -> Response {
             server: search.metrics(),
             transport: shared.counters.snapshot(),
             stages: StageStats::collect(),
+            requests: RequestStats::collect(&shared.latency),
             cache: search.cache_stats(),
         }),
         Request::Traces { last, slow } => Response::Traces(TracesReport {

@@ -1,7 +1,8 @@
 //! End-to-end observability tests over a loopback connection: client
 //! trace ids must surface in the server's structured events (including
-//! slow-query warnings), and the `/metrics` endpoint must expose the
-//! expected Prometheus families.
+//! slow-query warnings), the `/metrics` endpoint must expose the
+//! expected Prometheus families, and each request's root span must be
+//! the one clock behind its latency series, stats row and trace.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -94,7 +95,7 @@ fn client_trace_id_round_trips_into_server_events() {
 }
 
 /// A raw HTTP scrape of the metrics endpoint after live traffic must
-/// contain counter, gauge, summary (p50/p90/p99), and stage-histogram
+/// contain counter, gauge, per-request and per-stage histogram
 /// families.
 #[test]
 fn metrics_endpoint_serves_prometheus_text() {
@@ -102,14 +103,18 @@ fn metrics_endpoint_serves_prometheus_text() {
         NetServer::bind("127.0.0.1:0", search_server(), NetServerConfig::default()).unwrap();
     let mut metrics = MetricsServer::bind("127.0.0.1:0", server.metrics_renderer()).unwrap();
 
-    // Drive real traffic so latency summaries and stage histograms
-    // are non-empty.
+    // Drive real traffic so the request and stage histograms are
+    // non-empty.
     let mut client = NetClient::connect_default(server.local_addr()).unwrap();
     let query = Query::top_k(FeatureKind::PrincipalMoments, 1);
     let mesh = primitives::box_mesh(Vec3::ONE);
     for _ in 0..3 {
         client.search_mesh(&mesh, &query).unwrap();
     }
+    // The worker records a request after writing its reply, before it
+    // reads the connection's next frame: once the ping is answered,
+    // all three searches are in the histogram.
+    client.ping().unwrap();
 
     let body = scrape(&metrics, "/metrics");
     assert!(body.starts_with("HTTP/1.0 200 OK"), "bad response: {body}");
@@ -120,25 +125,27 @@ fn metrics_endpoint_serves_prometheus_text() {
         "# TYPE tdess_connections_accepted_total counter",
         "# TYPE tdess_shapes gauge",
         "# TYPE tdess_queue_depth gauge",
-        "# TYPE tdess_one_shot_latency_seconds summary",
-        "# TYPE tdess_transport_latency_seconds summary",
+        "# TYPE tdess_request_duration_seconds histogram",
         "# TYPE tdess_stage_duration_seconds histogram",
     ] {
         assert!(body.contains(family), "missing {family:?} in:\n{body}");
     }
-    for quantile in ["quantile=\"0.5\"", "quantile=\"0.9\"", "quantile=\"0.99\""] {
-        assert!(
-            body.contains(&format!("tdess_one_shot_latency_seconds{{{quantile}}}")),
-            "missing one-shot {quantile} in:\n{body}"
-        );
-    }
+    assert!(
+        body.contains(
+            "tdess_request_duration_seconds_bucket{request=\"SearchMesh\",le=\"+Inf\"} 3\n"
+        ),
+        "missing SearchMesh series in:\n{body}"
+    );
     // Per-stage series from the server-side extraction of the query
     // mesh, with a terminating +Inf bucket.
     assert!(body.contains("tdess_stage_duration_seconds_bucket{stage=\"query_extract\""));
-    assert!(body.contains("le=\"+Inf\""));
-    // No queries ran multi-step, so that summary is absent rather
-    // than a fake zero.
     assert!(body.contains("tdess_queries_served_total 3"));
+    // No request ran multi-step, so that series is absent rather than
+    // a fake zero.
+    assert!(
+        !body.contains("request=\"MultiStep\""),
+        "unexpected MultiStep series in:\n{body}"
+    );
 
     // Anything but GET /metrics is a 404.
     let other = scrape(&metrics, "/else");
@@ -217,6 +224,73 @@ fn cache_counters_surface_on_stats_and_metrics() {
 
     server.shutdown();
     plain_server.shutdown();
+}
+
+/// Each request's root span is its one clock: after N `SearchMesh`
+/// and M `Ping` requests, the `Stats` rows and the `/metrics` series
+/// count exactly those, and a single request's histogram sample equals
+/// its retained trace's duration to the microsecond.
+#[test]
+fn root_span_is_the_one_request_clock() {
+    const N: u64 = 4;
+    const M: u64 = 3;
+    let cfg = NetServerConfig {
+        trace_sample_one_in: 1,
+        ..NetServerConfig::default()
+    };
+    let mut server = NetServer::bind("127.0.0.1:0", search_server(), cfg).unwrap();
+    let metrics = MetricsServer::bind("127.0.0.1:0", server.metrics_renderer()).unwrap();
+    let mut client = NetClient::connect_default(server.local_addr()).unwrap();
+    let query = Query::top_k(FeatureKind::PrincipalMoments, 1);
+    let mesh = primitives::box_mesh(Vec3::ONE);
+    for _ in 0..N {
+        client.search_mesh(&mesh, &query).unwrap();
+    }
+    for _ in 0..M {
+        client.ping().unwrap();
+    }
+    client.info().unwrap();
+    let info_trace_id = client.last_trace_id().unwrap().to_string();
+
+    // One worker runs the connection's requests in order, and each is
+    // recorded before the next frame is read: the rows are final.
+    let report = client.stats().unwrap();
+    let rows: Vec<(&str, u64)> = report
+        .requests
+        .iter()
+        .map(|r| (r.request.as_str(), r.latency.count))
+        .collect();
+    assert_eq!(rows, [("SearchMesh", N), ("Info", 1), ("Ping", M)]);
+
+    let body = scrape(&metrics, "/metrics");
+    assert!(
+        body.contains(&format!(
+            "tdess_request_duration_seconds_count{{request=\"SearchMesh\"}} {N}\n"
+        )),
+        "{body}"
+    );
+    assert!(
+        body.contains(&format!(
+            "tdess_request_duration_seconds_count{{request=\"Ping\"}} {M}\n"
+        )),
+        "{body}"
+    );
+    assert!(!body.contains("request=\"MultiStep\""), "{body}");
+
+    // The single Info request: its histogram sample and its trace's
+    // duration are one reading of one clock.
+    let info = &report.requests[1].latency;
+    assert_eq!(info.min_s, info.max_s);
+    let traces = client.traces(0, false).unwrap().traces;
+    let trace = traces
+        .iter()
+        .find(|t| t.trace_id == info_trace_id)
+        .expect("every trace is kept at trace_sample_one_in 1");
+    assert_eq!(trace.name, "Info");
+    assert_eq!((info.max_s * 1e6).round() as u64, trace.dur_us);
+    assert_eq!(trace.spans[0].dur_us, trace.dur_us);
+
+    server.shutdown();
 }
 
 /// Issues one raw HTTP/1.0 request and returns the full response text.

@@ -202,6 +202,11 @@ fn traces_and_healthz_routes_serve_alongside_metrics() {
     client
         .search_mesh(&primitives::box_mesh(Vec3::ONE), &query)
         .unwrap();
+    // A request's trace is finished after its reply is written, and
+    // the worker records it before reading the connection's next
+    // frame: once the ping is answered, the search's trace is in the
+    // recorder the HTTP route reads.
+    client.ping().unwrap();
 
     let health = scrape(&metrics, "/healthz");
     assert!(health.starts_with("HTTP/1.0 200 OK"), "{health}");

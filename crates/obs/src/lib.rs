@@ -13,6 +13,7 @@
 //!   latency [`Histogram`]s with mergeable [`HistogramSnapshot`]s,
 //!   exact count/min/max/sum, and p50/p90/p99 quantiles bounded to
 //!   ≤6.25% relative error;
+//! * **counters** ([`counter`]) — lock-free event [`Counter`]s;
 //! * **stage registry** ([`stage`]) — static per-[`Stage`] histograms
 //!   fed by drop-guard [`StageTimer`]s across the extraction pipeline
 //!   (normalize → voxelize → skeletonize → graph → eigen) and query
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counter;
 pub mod export;
 pub mod hist;
 pub mod prom;
@@ -43,6 +45,7 @@ pub mod span;
 pub mod stage;
 pub mod trace;
 
+pub use counter::Counter;
 pub use export::chrome_trace_json;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use prom::PromText;
@@ -54,7 +57,7 @@ pub use span::{
 pub use stage::{stage_histogram, stage_snapshots, Stage, StageTimer};
 pub use trace::{
     current_trace_id, emit, enabled, gen_trace_id, level, set_level, set_sink, sink_to_stderr,
-    span, with_trace_id, Capture, Level, Span,
+    with_trace_id, Capture, Level,
 };
 
 /// Emits a leveled event with a formatted message and no extra fields.

@@ -1,16 +1,13 @@
 //! Prometheus text exposition (format version 0.0.4).
 //!
 //! [`PromText`] accumulates metric families with `# HELP` / `# TYPE`
-//! annotations: plain counters and gauges, latency summaries with
-//! p50/p90/p99 quantile labels derived from a [`HistogramSnapshot`],
-//! and labelled cumulative histograms for per-stage timings. Empty
-//! snapshots are skipped entirely rather than rendered as fake zeros.
+//! annotations: plain counters and gauges, and labelled cumulative
+//! histograms for latencies (per stage, per request kind), all over
+//! the one bucket scheme of [`HistogramSnapshot`]. Empty snapshots are
+//! skipped entirely rather than rendered as fake zeros.
 
 use crate::hist::HistogramSnapshot;
 use std::fmt::Write as _;
-
-/// The quantiles rendered for every summary family.
-const QUANTILES: [(&str, f64); 3] = [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)];
 
 /// Incremental builder for a Prometheus `/metrics` page.
 #[derive(Debug, Default)]
@@ -41,40 +38,23 @@ impl PromText {
         let _ = writeln!(self.out, "{name} {value}");
     }
 
-    /// Appends a latency summary (p50/p90/p99 + `_sum`/`_count`) from a
-    /// histogram snapshot; emits nothing when the snapshot is empty so
-    /// absent data is distinguishable from a genuine zero.
-    pub fn summary(&mut self, name: &str, help: &str, snap: &HistogramSnapshot) {
-        if snap.is_empty() {
-            return;
-        }
-        self.head(name, help, "summary");
-        for (label, q) in QUANTILES {
-            let _ = writeln!(
-                self.out,
-                "{name}{{quantile=\"{label}\"}} {}",
-                snap.quantile_seconds(q)
-            );
-        }
-        let _ = writeln!(self.out, "{name}_sum {}", snap.sum_seconds());
-        let _ = writeln!(self.out, "{name}_count {}", snap.count());
-    }
-
-    /// Appends one labelled histogram family with a `stage` label per
-    /// series: cumulative `_bucket{le=...}` lines over the non-empty
-    /// buckets, a `+Inf` bucket, and `_sum`/`_count`. Series with no
-    /// samples are skipped; the family is omitted when all are empty.
+    /// Appends one labelled histogram family, one series per
+    /// `(value, snapshot)` pair labelled `{label}="value"`: cumulative
+    /// `_bucket{le=...}` lines over the non-empty buckets, a `+Inf`
+    /// bucket, and `_sum`/`_count`. Series with no samples are
+    /// skipped; the family is omitted when all are empty.
     pub fn stage_histograms(
         &mut self,
         name: &str,
         help: &str,
+        label: &str,
         series: &[(&str, HistogramSnapshot)],
     ) {
         if series.iter().all(|(_, s)| s.is_empty()) {
             return;
         }
         self.head(name, help, "histogram");
-        for (label, snap) in series {
+        for (value, snap) in series {
             if snap.is_empty() {
                 continue;
             }
@@ -83,23 +63,23 @@ impl PromText {
                 cumulative += count;
                 let _ = writeln!(
                     self.out,
-                    "{name}_bucket{{stage=\"{label}\",le=\"{}\"}} {cumulative}",
+                    "{name}_bucket{{{label}=\"{value}\",le=\"{}\"}} {cumulative}",
                     upper_nanos as f64 / 1e9
                 );
             }
             let _ = writeln!(
                 self.out,
-                "{name}_bucket{{stage=\"{label}\",le=\"+Inf\"}} {}",
+                "{name}_bucket{{{label}=\"{value}\",le=\"+Inf\"}} {}",
                 snap.count()
             );
             let _ = writeln!(
                 self.out,
-                "{name}_sum{{stage=\"{label}\"}} {}",
+                "{name}_sum{{{label}=\"{value}\"}} {}",
                 snap.sum_seconds()
             );
             let _ = writeln!(
                 self.out,
-                "{name}_count{{stage=\"{label}\"}} {}",
+                "{name}_count{{{label}=\"{value}\"}} {}",
                 snap.count()
             );
         }
@@ -130,34 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_summary_is_omitted() {
-        let mut p = PromText::new();
-        p.summary(
-            "tdess_one_shot_latency_seconds",
-            "One-shot latency.",
-            &HistogramSnapshot::empty(),
-        );
-        assert_eq!(p.finish(), "");
-    }
-
-    #[test]
-    fn summary_renders_quantiles_sum_and_count() {
-        let h = Histogram::new();
-        for n in 1..=100u64 {
-            h.record_nanos(n * 1_000_000); // 1..=100 ms
-        }
-        let mut p = PromText::new();
-        p.summary("tdess_one_shot_latency_seconds", "One-shot.", &h.snapshot());
-        let page = p.finish();
-        assert!(page.contains("# TYPE tdess_one_shot_latency_seconds summary\n"));
-        assert!(page.contains("tdess_one_shot_latency_seconds{quantile=\"0.5\"}"));
-        assert!(page.contains("tdess_one_shot_latency_seconds{quantile=\"0.9\"}"));
-        assert!(page.contains("tdess_one_shot_latency_seconds{quantile=\"0.99\"}"));
-        assert!(page.contains("tdess_one_shot_latency_seconds_count 100\n"));
-        assert!(page.contains("tdess_one_shot_latency_seconds_sum "));
-    }
-
-    #[test]
     fn stage_histogram_renders_cumulative_buckets_and_skips_empty_series() {
         let h = Histogram::new();
         h.record_nanos(5_000);
@@ -166,6 +118,7 @@ mod tests {
         p.stage_histograms(
             "tdess_stage_duration_seconds",
             "Stage timings.",
+            "stage",
             &[
                 ("voxelize", h.snapshot()),
                 ("rerank", HistogramSnapshot::empty()),
@@ -196,6 +149,7 @@ mod tests {
         p.stage_histograms(
             "tdess_stage_duration_seconds",
             "Stage timings.",
+            "stage",
             &[("eigen", HistogramSnapshot::empty())],
         );
         assert_eq!(p.finish(), "");

@@ -193,13 +193,16 @@ fn freeze_span(s: ActiveSpan, trace_dur_us: u64) -> SpanRecord {
 }
 
 /// Starts collecting a span tree for a request on this thread and
-/// opens its root span. Returns a disarmed guard (and leaves the
-/// existing trace untouched) when one is already active.
-pub fn begin_request(trace_id: &str, name: &'static str) -> TraceGuard {
+/// opens its root span at `start`, the moment the request arrived: the
+/// root covers whatever ran before this call (a server decodes the
+/// request first to learn its name), and its duration, read once by
+/// [`TraceGuard::finish`], is the request's latency. Returns a
+/// disarmed guard (and leaves the existing trace untouched) when one
+/// is already active.
+pub fn begin_request(trace_id: &str, name: &'static str, start: Instant) -> TraceGuard {
     if trace_active() {
         return TraceGuard::disarmed();
     }
-    let t0 = Instant::now();
     let mut spans = Vec::with_capacity(SPAN_PREALLOC);
     spans.push(ActiveSpan {
         name,
@@ -213,8 +216,8 @@ pub fn begin_request(trace_id: &str, name: &'static str) -> TraceGuard {
     let trace = ActiveTrace {
         trace_id: Arc::from(trace_id),
         name,
-        ts_unix_us: unix_micros(),
-        t0,
+        ts_unix_us: unix_micros().saturating_sub(start.elapsed().as_micros() as u64),
+        t0: start,
         spans,
         stack,
         error: false,
@@ -398,7 +401,7 @@ mod tests {
 
     #[test]
     fn span_tree_nests_and_freezes() {
-        let guard = begin_request("0123456789abcdef", "SearchMesh");
+        let guard = begin_request("0123456789abcdef", "SearchMesh", Instant::now());
         assert!(trace_active());
 
         let extract = open_span("query_extract", Instant::now());
@@ -439,8 +442,18 @@ mod tests {
     }
 
     #[test]
+    fn root_span_starts_at_the_given_instant() {
+        let start = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        let t = begin_request("id", "req", start).finish(false).unwrap();
+        // The root covers the time before `begin_request` ran.
+        assert!(t.dur_us >= 2000, "{}", t.dur_us);
+        assert_eq!(t.spans[0].dur_us, t.dur_us);
+    }
+
+    #[test]
     fn open_spans_close_at_trace_end() {
-        let guard = begin_request("id", "req");
+        let guard = begin_request("id", "req", Instant::now());
         let s = open_span("never_closed", Instant::now());
         assert_eq!(s, 2);
         let t = guard.finish(false).unwrap();
@@ -452,8 +465,8 @@ mod tests {
 
     #[test]
     fn nested_begin_is_disarmed() {
-        let outer = begin_request("outer", "a");
-        let inner = begin_request("inner", "b");
+        let outer = begin_request("outer", "a", Instant::now());
+        let inner = begin_request("inner", "b", Instant::now());
         assert!(inner.finish(false).is_none());
         // The outer trace survived the nested attempt.
         assert!(trace_active());
@@ -464,7 +477,7 @@ mod tests {
     #[test]
     fn drop_without_finish_clears_state() {
         {
-            let _guard = begin_request("id", "req");
+            let _guard = begin_request("id", "req", Instant::now());
             assert!(trace_active());
         }
         assert!(!trace_active());
@@ -473,7 +486,7 @@ mod tests {
 
     #[test]
     fn span_cap_counts_drops() {
-        let guard = begin_request("id", "req");
+        let guard = begin_request("id", "req", Instant::now());
         let mut opened = 0;
         for _ in 0..(MAX_SPANS_PER_TRACE + 10) {
             let id = open_span("s", Instant::now());
@@ -490,19 +503,19 @@ mod tests {
 
     #[test]
     fn error_flag_propagates_both_ways() {
-        let guard = begin_request("id", "req");
+        let guard = begin_request("id", "req", Instant::now());
         mark_error();
         let t = guard.finish(false).unwrap();
         assert!(t.error);
 
-        let guard = begin_request("id2", "req");
+        let guard = begin_request("id2", "req", Instant::now());
         let t = guard.finish(true).unwrap();
         assert!(t.error);
     }
 
     #[test]
     fn span_link_addresses_innermost_span() {
-        let guard = begin_request("leader-trace", "req");
+        let guard = begin_request("leader-trace", "req", Instant::now());
         let (tid, span) = current_span_link().unwrap();
         assert_eq!(&*tid, "leader-trace");
         assert_eq!(span, 1);
@@ -517,7 +530,7 @@ mod tests {
 
     #[test]
     fn ids_are_positional_after_finish() {
-        let guard = begin_request("id", "req");
+        let guard = begin_request("id", "req", Instant::now());
         for _ in 0..3 {
             let s = open_span("s", Instant::now());
             close_span(s, Duration::ZERO);
@@ -530,7 +543,7 @@ mod tests {
 
     #[test]
     fn trace_roundtrips_through_serde() {
-        let guard = begin_request("abcd", "SearchMesh");
+        let guard = begin_request("abcd", "SearchMesh", Instant::now());
         let s = open_span("index_search", Instant::now());
         annotate("cache", TagValue::Str("hit"));
         close_span(s, Duration::from_micros(5));

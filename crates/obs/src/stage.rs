@@ -1,13 +1,14 @@
 //! Process-wide per-stage timing registry.
 //!
 //! Each pipeline/query [`Stage`] owns a static [`Histogram`]; a
-//! [`StageTimer`] records into it on drop and, at trace level, also
-//! emits a span-close event with the elapsed time. Timers are no-ops
-//! when the filter is [`Level::Off`], so `TDESS_LOG=off` removes the
-//! instrumentation cost entirely (see the `tab_obs_overhead` bench).
+//! [`StageTimer`] records into it on drop and, while a request trace
+//! is collecting, closes the stage's span in it. Timers are no-ops
+//! when the filter is [`Level::Off`] and no trace is active, so
+//! `TDESS_LOG=off` removes the instrumentation cost entirely (see the
+//! `tab_obs_overhead` bench).
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::trace::{emit, enabled, Level};
+use crate::trace::{enabled, Level};
 use std::time::Instant;
 
 /// The instrumented stages of the extraction pipeline and query path.
@@ -142,10 +143,8 @@ impl StageTimer {
     /// Ends this timer and starts one for `next`, reading the clock
     /// exactly once at the boundary — for back-to-back stages (index
     /// search → similarity combine) where two full timers would pay
-    /// two extra clock reads per query. The boundary skips the
-    /// trace-level per-stage event (the span tree carries the same
-    /// timing); the histogram record and span close/open are
-    /// identical to drop-then-start.
+    /// two extra clock reads per query. The histogram record and span
+    /// close/open are identical to drop-then-start.
     pub fn handoff(mut self, next: Stage) -> StageTimer {
         let Some(t0) = self.start.take() else {
             return StageTimer {
@@ -183,17 +182,6 @@ impl Drop for StageTimer {
                 stage_histogram(self.stage).record(elapsed);
             }
             crate::span::close_span(self.span, elapsed);
-            if self.hist && enabled(Level::Trace) {
-                emit(
-                    Level::Trace,
-                    "tdess.stage",
-                    "stage timed",
-                    &[
-                        ("stage", self.stage.name().to_string()),
-                        ("elapsed_us", elapsed.as_micros().to_string()),
-                    ],
-                );
-            }
         }
     }
 }
@@ -217,7 +205,7 @@ mod tests {
 
     #[test]
     fn stage_timer_contributes_spans_to_active_trace() {
-        let guard = crate::span::begin_request("stage-span-test", "req");
+        let guard = crate::span::begin_request("stage-span-test", "req", Instant::now());
         {
             let _outer = StageTimer::start(Stage::IndexSearch);
             let _inner = StageTimer::start(Stage::SimilarityCombine);
@@ -233,7 +221,7 @@ mod tests {
 
     #[test]
     fn handoff_closes_one_span_and_opens_the_next_as_siblings() {
-        let guard = crate::span::begin_request("handoff-test", "req");
+        let guard = crate::span::begin_request("handoff-test", "req", Instant::now());
         {
             let timer = StageTimer::start(Stage::IndexSearch);
             let _next = timer.handoff(Stage::SimilarityCombine);

@@ -20,7 +20,7 @@ use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Severity of an event, and the verbosity threshold for the filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,7 +37,8 @@ pub enum Level {
     Info = 3,
     /// Per-request and per-connection lifecycle.
     Debug = 4,
-    /// Per-stage span timings.
+    /// The most verbose threshold. Per-stage timings are not events:
+    /// they live in the stage histograms and request span trees.
     Trace = 5,
 }
 
@@ -285,42 +286,6 @@ pub fn emit(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
         None => {
             let mut err = std::io::stderr().lock();
             let _ = err.write_all(line.as_bytes()); // audit: allow(lock-discipline) — stderr lock serializes one preformatted line, mirroring the sink branch
-        }
-    }
-}
-
-/// A lightweight timing span: created via [`span`], it emits a
-/// debug-level close event with the elapsed microseconds on drop.
-/// When the filter is below debug at creation time it is a no-op.
-#[derive(Debug)]
-pub struct Span {
-    target: &'static str,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-/// Opens a [`Span`]; the close event is emitted when it drops.
-pub fn span(target: &'static str, name: &'static str) -> Span {
-    Span {
-        target,
-        name,
-        start: enabled(Level::Debug).then(Instant::now),
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(t0) = self.start {
-            let elapsed_us = t0.elapsed().as_micros();
-            emit(
-                Level::Debug,
-                self.target,
-                "span closed",
-                &[
-                    ("span", self.name.to_string()),
-                    ("elapsed_us", elapsed_us.to_string()),
-                ],
-            );
         }
     }
 }

@@ -64,7 +64,8 @@ use threedess::features::{FeatureExtractor, FeatureKind};
 use threedess::geom::io::{load_mesh, save_mesh};
 use threedess::geom::{render, RenderParams};
 use threedess::net::{
-    HitsReport, InfoReport, NetClient, NetClientConfig, NetServer, NetServerConfig,
+    HitsReport, InfoReport, LatencyStats, NetClient, NetClientConfig, NetServer, NetServerConfig,
+    StageStats,
 };
 
 fn main() -> ExitCode {
@@ -391,42 +392,44 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         for kind in FeatureKind::ALL {
             server.search_features(&probe, &Query::top_k(kind, 5));
         }
-        print_metrics(&server.metrics());
+        print_metrics(&server.metrics(), &StageStats::collect());
     }
     Ok(())
 }
 
-/// Prints the server's query metrics in the shared CLI footer format.
-/// Latency classes with no samples are absent (`None`) and skipped.
-fn print_metrics(m: &ServerMetrics) {
+/// Prints the server's query counters and the stage latency rows in
+/// the shared CLI footer format.
+fn print_metrics(m: &ServerMetrics, stages: &[StageStats]) {
     println!("server metrics:");
     println!("  queries served: {}", m.queries_served);
-    for (label, lat) in [
-        ("one-shot", &m.one_shot),
-        ("multi-step", &m.multi_step),
-        ("transport", &m.transport),
-    ] {
-        if let Some(lat) = lat {
-            print_latency(2, label, lat);
-        }
-    }
     println!("  index: {}", m.index_stats);
+    print_rows(
+        "pipeline stages:",
+        stages.iter().map(|s| (s.stage.as_str(), &s.latency)),
+    );
 }
 
-/// Prints one latency summary line (extremes, mean, quantiles).
-fn print_latency(indent: usize, label: &str, lat: &threedess::core::LatencyStats) {
-    println!(
-        "{:indent$}{:18} min {:.3} ms  p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms  max {:.3} ms  mean {:.3} ms  ({} samples)",
-        "",
-        label,
-        lat.min_s * 1e3,
-        lat.p50_s * 1e3,
-        lat.p90_s * 1e3,
-        lat.p99_s * 1e3,
-        lat.max_s * 1e3,
-        lat.mean_s * 1e3,
-        lat.count
-    );
+/// Prints a titled block of latency rows (extremes, mean, quantiles);
+/// nothing when there are none.
+fn print_rows<'a>(title: &str, rows: impl Iterator<Item = (&'a str, &'a LatencyStats)>) {
+    let mut rows = rows.peekable();
+    if rows.peek().is_none() {
+        return;
+    }
+    println!("{title}");
+    for (label, lat) in rows {
+        println!(
+            "  {:18} min {:.3} ms  p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms  max {:.3} ms  mean {:.3} ms  ({} samples)",
+            label,
+            lat.min_s * 1e3,
+            lat.p50_s * 1e3,
+            lat.p90_s * 1e3,
+            lat.p99_s * 1e3,
+            lat.max_s * 1e3,
+            lat.mean_s * 1e3,
+            lat.count
+        );
+    }
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
@@ -458,7 +461,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             h.distance
         );
     }
-    print_metrics(&server.metrics());
+    print_metrics(&server.metrics(), &StageStats::collect());
     // Optional result thumbnails — the SERVER tier's "3D view
     // generation" for terminals.
     if let Some(dir) = flag(&flags, "render") {
@@ -496,7 +499,7 @@ fn cmd_multistep(args: &[String]) -> Result<(), String> {
         let s = db.get(h.id).expect("hit exists");
         println!("{:3}. {:24} sim {:.3}", rank + 1, s.name, h.similarity);
     }
-    print_metrics(&server.metrics());
+    print_metrics(&server.metrics(), &StageStats::collect());
     Ok(())
 }
 
@@ -688,7 +691,14 @@ fn cmd_remote(args: &[String]) -> Result<(), String> {
                 return print_json(&report);
             }
             println!("shapes: {}", report.shapes);
-            print_metrics(&report.server);
+            print_metrics(&report.server, &report.stages);
+            print_rows(
+                "requests:",
+                report
+                    .requests
+                    .iter()
+                    .map(|r| (r.request.as_str(), &r.latency)),
+            );
             let t = &report.transport;
             println!(
                 "transport: {} accepted, {} rejected, {} frames decoded, {} decode errors, {} requests served",
@@ -711,12 +721,6 @@ fn cmd_remote(args: &[String]) -> Result<(), String> {
                 );
             } else {
                 println!("cache: off");
-            }
-            if !report.stages.is_empty() {
-                println!("pipeline stages:");
-                for s in &report.stages {
-                    print_latency(2, &s.stage, &s.latency);
-                }
             }
             Ok(())
         }

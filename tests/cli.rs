@@ -300,6 +300,13 @@ fn serve_and_remote_roundtrip_over_loopback() {
     assert_eq!(stats.shapes, 3);
     assert!(stats.transport.requests_served >= 2);
     assert_eq!(stats.transport.decode_errors, 0);
+    // One latency row per kind served before this Stats request.
+    let rows: Vec<(&str, u64)> = stats
+        .requests
+        .iter()
+        .map(|r| (r.request.as_str(), r.latency.count))
+        .collect();
+    assert_eq!(rows, [("SearchMesh", 1), ("Ping", 1)]);
 
     drop(guard);
     let _ = std::fs::remove_dir_all(&dir);
