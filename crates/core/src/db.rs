@@ -34,7 +34,7 @@ pub struct StoredShape {
 }
 
 /// How a query selects results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryMode {
     /// The `k` most similar shapes.
     TopK(usize),
@@ -44,7 +44,7 @@ pub enum QueryMode {
 
 /// A one-shot query: one feature vector, optional per-dimension
 /// weights, and a selection mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Query {
     /// Which feature vector to search with.
     pub kind: FeatureKind,

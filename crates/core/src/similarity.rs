@@ -1,10 +1,8 @@
 //! Similarity measures (Eq. 4.3–4.4 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-dimension weights for the weighted Euclidean distance. `None`
 /// means unit weights (plain Euclidean).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Weights(pub Option<Vec<f64>>);
 
 impl Weights {

@@ -197,7 +197,6 @@ impl TriMesh {
     /// triangles, and opposite traversal directions (consistent
     /// orientation). Returns all defects found.
     pub fn validate(&self) -> Vec<MeshDefect> {
-        // hotpath: allow(hot-alloc) — the issue list is the returned artifact, empty for clean meshes
         let mut defects = Vec::new();
         let nv = self.vertices.len() as u32;
         // Directed edge -> count.

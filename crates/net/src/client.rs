@@ -22,9 +22,11 @@ use tdess_core::{MultiStepPlan, Query, ShapeId};
 use tdess_features::FeatureSet;
 use tdess_geom::TriMesh;
 
+use crate::codec::encode_envelope;
 use crate::proto::{
-    decode, encode, read_frame, write_frame, Hello, HitsReport, InfoReport, Request, Response,
-    StatsReport, TracesReport, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode, decode_json, encode_json, read_frame, write_frame, Hello, HelloReply, HitsReport,
+    InfoReport, Request, Response, StatsReport, TracesReport, WireError, DEFAULT_MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 
 /// Tuning knobs for a [`NetClient`].
@@ -95,22 +97,18 @@ impl NetClient {
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(self.cfg.request_timeout))?;
         stream.set_write_timeout(Some(self.cfg.request_timeout))?;
-        let payload = encode(&Hello::current())?;
+        let payload = encode_json(&Hello::current())?;
         write_frame(&mut stream, &payload)?;
         let Some(reply) = read_frame(&mut stream, self.cfg.max_frame_len)? else {
             return Err(WireError::Disconnected);
         };
-        match decode::<Response>(&reply)? {
-            Response::HelloAck { version } if version == PROTOCOL_VERSION => Ok(stream),
+        match decode_json::<HelloReply>(&reply)? {
+            HelloReply::HelloAck { version } if version == PROTOCOL_VERSION => Ok(stream),
             // hotpath: allow(hot-alloc) — client-side error path, in the server graph only via name-level over-approximation
-            Response::HelloAck { version } => Err(WireError::Handshake(format!(
+            HelloReply::HelloAck { version } => Err(WireError::Handshake(format!(
                 "server speaks protocol v{version}, this client v{PROTOCOL_VERSION}"
             ))),
-            Response::Error(reply) => Err(WireError::Remote(reply)),
-            other => Err(WireError::Handshake(format!(
-                "unexpected handshake reply: {}",
-                variant_name(&other)
-            ))),
+            HelloReply::Error(reply) => Err(WireError::Remote(reply)),
         }
     }
 
@@ -127,15 +125,9 @@ impl NetClient {
     /// the same id — it is the same logical request).
     pub fn request(&mut self, req: &Request) -> Result<Response, WireError> {
         let trace_id = tdess_obs::gen_trace_id();
-        // Build the envelope value by hand to avoid cloning the
-        // request (meshes can be large) just to attach two fields.
-        // hotpath: allow(hot-alloc) — client-side retry state, in the server graph only via name-level over-approximation
-        let envelope = serde::Value::Obj(vec![
-            ("trace_id".to_string(), serde::Value::Str(trace_id.clone())),
-            ("request".to_string(), serde::Serialize::to_value(req)),
-        ]);
+        // Encoded from the borrowed request: meshes can be large.
+        let payload = encode_envelope(Some(&trace_id), req)?;
         self.last_trace = Some(trace_id);
-        let payload = encode(&envelope)?;
         let reused = self.stream.is_some();
         let (sent, err) = match self.attempt(&payload) {
             Ok(resp) => return Ok(resp),
@@ -290,7 +282,6 @@ fn unexpected(resp: &Response) -> WireError {
 /// Stable variant label for protocol-violation messages.
 fn variant_name(resp: &Response) -> &'static str {
     match resp {
-        Response::HelloAck { .. } => "HelloAck",
         Response::Hits(_) => "Hits",
         Response::Inserted { .. } => "Inserted",
         Response::Removed { .. } => "Removed",

@@ -2,10 +2,12 @@
 //!
 //! Exposes a [`tdess_core::SearchServer`] over TCP:
 //!
-//! * **protocol** ([`proto`]) — length-prefixed framed wire format
-//!   with JSON payloads, a version-checked handshake, typed
+//! * **protocol** ([`proto`]) — length-prefixed frames with
+//!   little-endian binary payloads (f64 values as raw bits) after a
+//!   version-checked JSON handshake, typed
 //!   [`proto::Request`]/[`proto::Response`] enums, and decode errors
-//!   that are typed values, never panics;
+//!   that are typed values, never panics; the payload layouts live in
+//!   one private `codec` module;
 //! * **server** ([`server`]) — [`NetServer`], a bounded thread-pool
 //!   front end with explicit backpressure (`Busy` replies when the
 //!   accept queue is full), per-connection timeouts, transport
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod codec;
 pub mod metrics;
 pub mod proto;
 pub mod server;
@@ -38,8 +41,9 @@ pub mod server;
 pub use client::{NetClient, NetClientConfig};
 pub use metrics::{MetricsRenderer, MetricsRoute, MetricsServer};
 pub use proto::{
-    ErrorKind, ErrorReply, Hello, HitsReport, InfoReport, LatencyStats, NamedHit, Request,
-    RequestEnvelope, RequestStats, Response, SpaceInfo, StageStats, StatsReport, TracesReport,
-    TransportStats, WireError, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
+    ErrorKind, ErrorReply, Hello, HelloReply, HitsReport, InfoReport, LatencyStats, NamedHit,
+    Request, RequestEnvelope, RequestStats, Response, SpaceInfo, StageStats, StatsReport,
+    TracesReport, TransportStats, WireError, DEFAULT_MAX_FRAME_LEN, MAGIC, MAX_TRACE_ID_BYTES,
+    PROTOCOL_VERSION,
 };
 pub use server::{NetServer, NetServerConfig, TransportCounters};

@@ -1,6 +1,6 @@
 //! The 3DESS wire protocol: length-prefixed frames carrying
-//! JSON-encoded, externally tagged [`Request`]/[`Response`] payloads,
-//! preceded by a version-checked [`Hello`] handshake.
+//! little-endian binary [`Request`]/[`Response`] payloads, preceded by
+//! a version-checked JSON [`Hello`] handshake.
 //!
 //! ## Frame layout
 //!
@@ -10,22 +10,71 @@
 //! +----------------+---------------------------+
 //! ```
 //!
-//! The payload is UTF-8 JSON (the same `serde` encoding the
-//! persistence layer uses, so meshes and feature vectors round-trip
-//! bit-identically — floats print as the shortest string that parses
-//! back to the same bits). A frame whose declared length exceeds the
-//! agreed maximum ([`DEFAULT_MAX_FRAME_LEN`] unless configured
-//! otherwise) is answered with a [`ErrorKind::FrameTooLarge`] error
-//! and drained, not trusted: decode errors are *typed* ([`WireError`])
-//! and never panic on malformed or truncated input.
+//! A frame whose declared length exceeds the agreed maximum
+//! ([`DEFAULT_MAX_FRAME_LEN`] unless configured otherwise) is answered
+//! with a [`ErrorKind::FrameTooLarge`] error and drained, not trusted:
+//! decode errors are *typed* ([`WireError`]) and never panic on
+//! malformed or truncated input.
 //!
 //! ## Handshake
 //!
 //! The first frame a client sends is a [`Hello`] (magic string +
-//! protocol version). The server answers [`Response::HelloAck`] on a
-//! match and a [`ErrorKind::VersionMismatch`] error otherwise. Every
-//! subsequent client frame is a [`Request`]; every server frame is a
-//! [`Response`].
+//! protocol version) as JSON, `{"magic":"tdess","version":2}`.
+//! Everything the server sends before the handshake completes is a
+//! [`HelloReply`] in protocol v1's externally tagged JSON:
+//! `{"HelloAck":{"version":2}}` on a match, otherwise
+//! `{"Error":{"kind":...,"message":...}}` — a `VersionMismatch` naming
+//! both versions, `Busy`, `Shutdown`, or a handshake `FrameTooLarge` or
+//! `Malformed`. So a peer of either version reads a typed error.
+//!
+//! ## Payloads (protocol v2)
+//!
+//! After the handshake every client frame is a [`RequestEnvelope`] and
+//! every server frame a [`Response`], in a fixed little-endian binary
+//! layout: a tag byte, then the variant's fields in order.
+//!
+//! ```text
+//! count          u32: the length of a vector, list or string
+//! id, usize      u64 (ids; top-k, plan sizes and `last`)
+//! f64            8 bytes, f64::to_le_bytes: the value's exact bits
+//! string         count + UTF-8 bytes
+//! bool, Option   1 byte, 0 or 1 (an Option's value follows a 1)
+//! FeatureKind    1 byte: its index in FeatureKind::ALL
+//! ErrorKind      1 byte: its declaration index
+//!
+//! envelope       Option<string> trace id (at most MAX_TRACE_ID_BYTES),
+//!                then a request: tag = Request::kind(), then fields
+//!   0 SearchFeatures  7 × (count + f64s) in FeatureKind::ALL order, query
+//!   1 SearchMesh      mesh, query
+//!   2 MultiStep       mesh, plan
+//!   3 Insert          name string, mesh
+//!   4 Remove          id
+//!   5 Info, 6 Stats, 8 Ping   no fields
+//!   7 Traces          last, slow bool
+//! query          kind, weights Option<count + f64s>,
+//!                mode tag: 0 TopK + usize | 1 Threshold + f64
+//! mesh           count + (x, y, z) f64 per vertex,
+//!                count + 3 × u32 per triangle
+//! plan           count + kind per step, candidates, presented
+//!
+//! response       tag, then fields
+//!   0 Hits        count + (id, name string, distance, similarity) per hit
+//!   1 Inserted    id
+//!   2 Removed     id
+//!   3 Info, 4 Stats, 5 Traces   one string: the report's serde JSON
+//!   6 Pong        no fields
+//!   7 Error       ErrorKind, message string
+//! ```
+//!
+//! f64 values travel as raw bits, so every answer, NaN payloads
+//! included, arrives bit for bit. The three reports ride as their
+//! serde JSON (the same text `--json` prints): they are rare, nested,
+//! and owned by other crates, so the codec does not copy their layouts.
+//! A decoder checks every count against the bytes actually present
+//! before it allocates, and rejects unknown tags, out-of-range kinds,
+//! invalid UTF-8, short payloads and trailing bytes as
+//! [`WireError::Malformed`]. The private `codec` module holds every
+//! layout.
 
 use std::io::{IoSlice, Read, Write};
 
@@ -40,7 +89,7 @@ use tdess_obs::{Histogram, HistogramSnapshot, RequestTrace};
 /// Version of the wire protocol spoken by this build. Bumped on any
 /// incompatible frame or payload change; the handshake rejects peers
 /// speaking a different version.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Magic string carried in the handshake so a 3DESS endpoint can
 /// reject arbitrary TCP traffic with a typed error instead of a
@@ -50,6 +99,13 @@ pub const MAGIC: &str = "tdess";
 /// Default hard cap on a frame's payload length (32 MiB — comfortably
 /// above any corpus mesh, far below a memory-exhaustion attack).
 pub const DEFAULT_MAX_FRAME_LEN: usize = 32 * 1024 * 1024;
+
+/// Longest trace id a request may carry, in bytes. Traces keep their
+/// id, and the flight recorder always retains error traces, so an
+/// uncapped id would let a client pin up to a frame's worth of memory
+/// per retained trace. [`tdess_obs::gen_trace_id`] makes 16 bytes and a
+/// W3C `traceparent` is 55.
+pub const MAX_TRACE_ID_BYTES: usize = 64;
 
 /// The handshake frame: first thing on the wire from a client.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,7 +134,7 @@ impl Hello {
 
 /// A client request. One frame each; the server answers every request
 /// with exactly one [`Response`] frame on the same connection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Request {
     /// One-shot search with already-extracted query features.
     SearchFeatures {
@@ -124,11 +180,9 @@ pub enum Request {
     Traces {
         /// Return at most this many traces, newest last (0 = all
         /// currently retained).
-        #[serde(default)]
         last: usize,
         /// Only traces the tail sampler marked interesting (slow or
         /// error), dropping the probabilistic baseline sample.
-        #[serde(default)]
         slow: bool,
     },
     /// Liveness probe.
@@ -150,7 +204,8 @@ impl Request {
         "Ping",
     ];
 
-    /// This request's index into [`Request::KINDS`].
+    /// This request's index into [`Request::KINDS`], which is also
+    /// its tag byte on the wire.
     pub fn kind(&self) -> usize {
         match self {
             Request::SearchFeatures { .. } => 0,
@@ -177,29 +232,21 @@ impl Request {
 /// `trace_id` per request; the server runs the dispatch under it so
 /// every event the request causes — including slow-query warnings —
 /// carries the id the client knows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RequestEnvelope {
-    /// Client-generated correlation id (16 hex digits by convention,
-    /// but any string is accepted and propagated opaquely).
-    #[serde(default)]
+    /// Client-generated correlation id (16 hex digits by convention;
+    /// any UTF-8 of at most [`MAX_TRACE_ID_BYTES`] is propagated
+    /// opaquely).
     pub trace_id: Option<String>,
     /// The request itself.
     pub request: Request,
 }
 
-/// Decodes a request payload, accepting both the enveloped form
-/// (`{"trace_id":...,"request":{...}}`) and a bare [`Request`] from
-/// pre-envelope peers. Returns the trace id (if any) with the request.
+/// Decodes a request payload: a v2 [`RequestEnvelope`]. Returns the
+/// trace id (if any) with the request.
 pub fn decode_request(payload: &[u8]) -> Result<(Option<String>, Request), WireError> {
-    let value: serde::Value = decode(payload)?;
-    if value.get("request").is_some() {
-        let env =
-            RequestEnvelope::from_value(&value).map_err(|e| WireError::Malformed(e.to_string()))?;
-        Ok((env.trace_id, env.request))
-    } else {
-        let req = Request::from_value(&value).map_err(|e| WireError::Malformed(e.to_string()))?;
-        Ok((None, req))
-    }
+    let env: RequestEnvelope = decode(payload)?;
+    Ok((env.trace_id, env.request))
 }
 
 /// One search result, with the shape's name resolved server-side so
@@ -499,20 +546,29 @@ impl std::fmt::Display for ErrorReply {
     }
 }
 
-/// A server response. Exactly one per request (and one `HelloAck` or
-/// error for the handshake).
-// `Stats` dominates the enum's size now that reports carry quantiles
-// and per-stage timings, but a `Response` only ever lives for the
-// instant between dispatch and frame encode (or decode and match), so
-// indirection would buy nothing and cost an allocation per response.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Response {
+/// The server's answer to a [`Hello`], and every frame it sends before
+/// the handshake completes. Encoded as protocol v1's externally tagged
+/// JSON ([`encode_json`]), so a peer of any version reads it.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum HelloReply {
     /// Handshake accepted; carries the server's protocol version.
     HelloAck {
         /// The server's [`PROTOCOL_VERSION`].
         version: u32,
     },
+    /// The connection is refused: version mismatch, busy, shutting
+    /// down, or a bad handshake frame.
+    Error(ErrorReply),
+}
+
+/// A server response. Exactly one per request.
+// `Stats` dominates the enum's size now that reports carry quantiles
+// and per-stage timings, but a `Response` only ever lives for the
+// instant between dispatch and frame encode (or decode and match), so
+// indirection would buy nothing and cost an allocation per response.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+pub enum Response {
     /// Ranked search results.
     Hits(HitsReport),
     /// A shape was inserted.
@@ -557,7 +613,7 @@ pub enum WireError {
         /// The configured maximum.
         max: usize,
     },
-    /// The payload was not valid UTF-8 JSON for the expected type.
+    /// The payload was not a valid encoding of the expected type.
     Malformed(String),
     /// The handshake failed (bad magic, version, or unexpected reply).
     Handshake(String),
@@ -623,18 +679,38 @@ impl WireError {
     }
 }
 
-/// Serializes a value into a frame payload.
-pub fn encode<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
+/// A message with a v2 binary layout: the payload of one frame after
+/// the handshake ([`RequestEnvelope`] and [`Response`]).
+pub trait Payload: Sized {
+    /// Encodes this value as a frame payload.
+    fn to_payload(&self) -> Result<Vec<u8>, WireError>;
+    /// Decodes a whole frame payload; any decode failure, trailing
+    /// bytes included, is [`WireError::Malformed`].
+    fn from_payload(payload: &[u8]) -> Result<Self, WireError>;
+}
+
+/// Encodes a message as a frame payload.
+pub fn encode<T: Payload>(value: &T) -> Result<Vec<u8>, WireError> {
+    value.to_payload()
+}
+
+/// Decodes a frame payload into a message.
+pub fn decode<T: Payload>(payload: &[u8]) -> Result<T, WireError> {
+    T::from_payload(payload)
+}
+
+/// Serializes a handshake frame ([`Hello`], [`HelloReply`]) as JSON.
+pub fn encode_json<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
     serde_json::to_string(value)
         .map(String::into_bytes)
-        // hotpath: allow(hot-alloc) — encoding produces the owned wire body
+        // hotpath: allow(hot-alloc) — handshake-phase frames only, once per connection
         .map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-/// Deserializes a frame payload into a value.
-pub fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
+/// Deserializes a JSON handshake frame.
+pub fn decode_json<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
     let text = std::str::from_utf8(payload)
-        // hotpath: allow(hot-alloc) — formats only on the malformed-frame error path
+        // hotpath: allow(hot-alloc) — handshake-phase frames only; formats on the malformed path
         .map_err(|e| WireError::Malformed(format!("payload is not UTF-8: {e}")))?;
     serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
 }
@@ -811,9 +887,12 @@ mod tests {
 
     #[test]
     fn request_response_roundtrip() {
-        let req = Request::Remove { id: 42 };
-        let payload = encode(&req).unwrap();
-        let back: Request = decode(&payload).unwrap();
+        let env = RequestEnvelope {
+            trace_id: None,
+            request: Request::Remove { id: 42 },
+        };
+        let (tid, back) = decode_request(&encode(&env).unwrap()).unwrap();
+        assert_eq!(tid, None);
         assert!(matches!(back, Request::Remove { id: 42 }));
 
         let resp = Response::Error(ErrorReply::new(ErrorKind::Busy, "queue full"));
@@ -825,16 +904,17 @@ mod tests {
     #[test]
     fn garbage_payload_is_a_typed_decode_error() {
         assert!(matches!(
-            decode::<Request>(b"{ not json"),
+            decode::<Response>(b"{ not json"),
             Err(WireError::Malformed(_))
         ));
         assert!(matches!(
-            decode::<Request>(&[0xff, 0xfe, 0x00]),
+            decode_request(&[0xff, 0xfe, 0x00]),
             Err(WireError::Malformed(_))
         ));
-        // Valid JSON, wrong shape.
+        assert!(matches!(decode_request(&[]), Err(WireError::Malformed(_))));
+        // The handshake's JSON is not a v2 payload.
         assert!(matches!(
-            decode::<Request>(b"{\"NoSuchVariant\": 1}"),
+            decode::<Response>(br#"{"HelloAck":{"version":2}}"#),
             Err(WireError::Malformed(_))
         ));
     }
@@ -862,12 +942,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_request_accepts_bare_and_enveloped_forms() {
-        // Bare request, as a pre-envelope client would send it.
-        let (tid, req) = decode_request(&encode(&Request::Ping).unwrap()).unwrap();
-        assert_eq!(tid, None);
-        assert!(matches!(req, Request::Ping));
-
+    fn decode_request_accepts_only_the_v2_envelope() {
         // Enveloped with a trace id.
         let env = RequestEnvelope {
             trace_id: Some("aabbccdd00112233".into()),
@@ -877,7 +952,7 @@ mod tests {
         assert_eq!(tid.as_deref(), Some("aabbccdd00112233"));
         assert!(matches!(req, Request::Remove { id: 7 }));
 
-        // Enveloped without a trace id (`null` on the wire).
+        // Enveloped without a trace id.
         let env = RequestEnvelope {
             trace_id: None,
             request: Request::Info,
@@ -886,11 +961,32 @@ mod tests {
         assert_eq!(tid, None);
         assert!(matches!(req, Request::Info));
 
-        // Garbage still fails with a typed error.
-        assert!(matches!(
-            decode_request(b"{\"request\": 17}"),
-            Err(WireError::Malformed(_))
-        ));
+        // v1's JSON forms, bare or enveloped, are gone.
+        for v1 in [
+            &br#"{"Ping":null}"#[..],
+            br#""Ping""#,
+            br#"{"trace_id":"aabb","request":"Ping"}"#,
+        ] {
+            assert!(matches!(decode_request(v1), Err(WireError::Malformed(_))));
+        }
+    }
+
+    #[test]
+    fn hello_reply_is_v1_json() {
+        let ack = encode_json(&HelloReply::HelloAck {
+            version: PROTOCOL_VERSION,
+        })
+        .unwrap();
+        assert_eq!(ack, br#"{"HelloAck":{"version":2}}"#);
+        let err = HelloReply::Error(ErrorReply::new(ErrorKind::VersionMismatch, "v1"));
+        let text = String::from_utf8(encode_json(&err).unwrap()).unwrap();
+        assert_eq!(
+            text,
+            r#"{"Error":{"kind":"VersionMismatch","message":"v1"}}"#
+        );
+        assert_eq!(decode_json::<HelloReply>(text.as_bytes()).unwrap(), err);
+        let hello = encode_json(&Hello::current()).unwrap();
+        assert_eq!(hello, br#"{"magic":"tdess","version":2}"#);
     }
 
     #[test]
@@ -923,18 +1019,15 @@ mod tests {
     }
 
     #[test]
-    fn traces_request_and_report_tolerate_missing_fields() {
-        // `Traces` sent by a minimal client (`{"Traces":{}}`) decodes
-        // with both knobs defaulted.
-        let req: Request = decode(b"{\"Traces\": {}}").unwrap();
-        assert!(matches!(
-            req,
+    fn traces_report_round_trips_and_tolerates_missing_fields() {
+        assert!(
             Request::Traces {
                 last: 0,
                 slow: false
             }
-        ));
-        assert!(req.is_idempotent(), "trace reads are safe to retry");
+            .is_idempotent(),
+            "trace reads are safe to retry"
+        );
 
         // A populated report round-trips through the wire encoding.
         let report = TracesReport {
@@ -950,11 +1043,12 @@ mod tests {
                 spans: Vec::new(),
             })],
         };
-        let back: TracesReport = decode(&encode(&report).unwrap()).unwrap();
-        assert_eq!(back, report);
+        let resp = Response::Traces(report);
+        let back: Response = decode(&encode(&resp).unwrap()).unwrap();
+        assert_eq!(back, resp);
 
-        // And a pre-trace peer's empty object still decodes.
-        let bare: TracesReport = decode(b"{}").unwrap();
+        // The report's JSON still defaults its missing fields.
+        let bare: TracesReport = decode_json(b"{}").unwrap();
         assert!(bare.traces.is_empty());
         assert_eq!(bare.slow_threshold_us, 0);
     }

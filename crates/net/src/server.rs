@@ -30,14 +30,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use tdess_core::{DbError, QueryMode, SearchServer, Weights};
-use tdess_features::{FeatureKind, FeatureSet};
+use tdess_core::{DbError, MultiStepPlan, Query, QueryMode, SearchServer, Weights};
+use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
 use tdess_obs::{event, Counter, FlightRecorder, Histogram, RecorderConfig, TraceGuard};
 
 use crate::proto::{
-    decode, decode_request, encode, write_frame, ErrorKind, ErrorReply, Hello, HitsReport,
-    InfoReport, Request, RequestStats, Response, StageStats, StatsReport, TracesReport,
-    TransportStats, WireError, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
+    decode_json, decode_request, encode, encode_json, write_frame, ErrorKind, ErrorReply, Hello,
+    HelloReply, HitsReport, InfoReport, Request, RequestStats, Response, StageStats, StatsReport,
+    TracesReport, TransportStats, WireError, DEFAULT_MAX_FRAME_LEN, MAGIC, PROTOCOL_VERSION,
 };
 
 /// Event target for this module's structured log events.
@@ -410,12 +410,13 @@ fn accept_loop(listener: &TcpListener, tx: &channel::Sender<TcpStream>, shared: 
     }
 }
 
-/// Answers a turned-away connection with one typed error frame.
+/// Answers a turned-away connection with one typed error frame, in
+/// the handshake's JSON: the peer has not completed a handshake.
 fn reject(shared: &NetShared, mut stream: TcpStream, kind: ErrorKind, message: &str) {
     shared.counters.connections_rejected.add(1);
     event!(Debug, TARGET, "connection rejected: {kind:?} ({message})");
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    if let Ok(payload) = encode(&Response::Error(ErrorReply::new(kind, message))) {
+    if let Ok(payload) = encode_json(&HelloReply::Error(ErrorReply::new(kind, message))) {
         let _ = write_frame(&mut stream, &payload);
     }
 }
@@ -462,6 +463,12 @@ impl Conn<'_> {
     /// Sends one response frame.
     fn send(&mut self, resp: &Response) -> Result<(), WireError> {
         let payload = encode(resp)?;
+        write_frame(&mut self.stream, &payload)
+    }
+
+    /// Sends one handshake-phase frame, as JSON.
+    fn send_hello_reply(&mut self, reply: &HelloReply) -> Result<(), WireError> {
+        let payload = encode_json(reply)?;
         write_frame(&mut self.stream, &payload)
     }
 
@@ -702,46 +709,43 @@ fn answer(conn: &mut Conn<'_>, trace_id: Option<String>, req: Request, arrived: 
 }
 
 /// Performs the server side of the handshake. Returns whether the
-/// connection may proceed to the request loop.
+/// connection may proceed to the request loop. Every reply here is a
+/// JSON [`HelloReply`], readable by a peer of any protocol version.
 fn handshake(conn: &mut Conn<'_>) -> bool {
     let shared = conn.shared;
+    let refuse = |conn: &mut Conn<'_>, kind: ErrorKind, message: String| {
+        shared.counters.decode_errors.add(1);
+        let _ = conn.send_hello_reply(&HelloReply::Error(ErrorReply::new(kind, message)));
+        false
+    };
     match conn.next_frame() {
         Ok(Incoming::Closed) => false,
-        Ok(Incoming::TooLarge { len, max }) => {
-            shared.counters.decode_errors.add(1);
-            let _ = conn.send(&Response::Error(ErrorReply::new(
-                ErrorKind::FrameTooLarge,
-                format!("handshake frame of {len} bytes exceeds the {max}-byte limit"),
-            )));
-            false
-        }
-        Ok(Incoming::Frame(payload)) => match decode::<Hello>(&payload) {
+        Ok(Incoming::TooLarge { len, max }) => refuse(
+            conn,
+            ErrorKind::FrameTooLarge,
+            format!("handshake frame of {len} bytes exceeds the {max}-byte limit"),
+        ),
+        Ok(Incoming::Frame(payload)) => match decode_json::<Hello>(&payload) {
             Ok(hello) if hello.compatible() => {
                 shared.counters.frames_decoded.add(1);
-                conn.send(&Response::HelloAck {
+                conn.send_hello_reply(&HelloReply::HelloAck {
                     version: PROTOCOL_VERSION,
                 })
                 .is_ok()
             }
-            Ok(hello) => {
-                shared.counters.decode_errors.add(1);
-                let _ = conn.send(&Response::Error(ErrorReply::new(
-                    ErrorKind::VersionMismatch,
-                    format!(
-                        "peer speaks {}/v{}, this server speaks {MAGIC}/v{PROTOCOL_VERSION}",
-                        hello.magic, hello.version
-                    ),
-                )));
-                false
-            }
-            Err(e) => {
-                shared.counters.decode_errors.add(1);
-                let _ = conn.send(&Response::Error(ErrorReply::new(
-                    ErrorKind::Malformed,
-                    format!("expected Hello handshake: {e}"),
-                )));
-                false
-            }
+            Ok(hello) => refuse(
+                conn,
+                ErrorKind::VersionMismatch,
+                format!(
+                    "peer speaks {}/v{}, this server speaks {MAGIC}/v{PROTOCOL_VERSION}",
+                    hello.magic, hello.version
+                ),
+            ),
+            Err(e) => refuse(
+                conn,
+                ErrorKind::Malformed,
+                format!("expected Hello handshake: {e}"),
+            ),
         },
         Err(_) => {
             shared.counters.decode_errors.add(1);
@@ -750,46 +754,13 @@ fn handshake(conn: &mut Conn<'_>) -> bool {
     }
 }
 
-/// Validates the parts of a request that the core layer `assert!`s on,
-/// so a hostile or buggy client gets a typed error instead of panicking
-/// a worker thread.
-fn validate(shared: &NetShared, req: &Request) -> Result<(), ErrorReply> {
-    match req {
-        Request::SearchFeatures { features, query } => {
-            validate_features(shared, features)?;
-            validate_query(shared, query.kind, &query.weights, &query.mode)
-        }
-        Request::SearchMesh { mesh: _, query } => {
-            validate_query(shared, query.kind, &query.weights, &query.mode)
-        }
-        Request::MultiStep { mesh: _, plan } => {
-            if plan.steps.is_empty() {
-                return Err(ErrorReply::new(
-                    ErrorKind::Malformed,
-                    "multi-step plan needs at least one step",
-                ));
-            }
-            if plan.candidates == 0 || plan.presented == 0 {
-                return Err(ErrorReply::new(
-                    ErrorKind::Malformed,
-                    "multi-step candidate and presented counts must be at least 1",
-                ));
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
-/// Checks a query's weights (length + finiteness) and threshold range.
-fn validate_query(
-    shared: &NetShared,
-    kind: FeatureKind,
-    weights: &Weights,
-    mode: &QueryMode,
-) -> Result<(), ErrorReply> {
-    let dim = shared.search.with_db(|db| db.extractor().dim(kind));
-    if let Weights(Some(w)) = weights {
+/// Checks a query against the extractor of the snapshot it will run
+/// on: weights (length + finiteness) and threshold range — the parts
+/// the core layer `assert!`s on, so a hostile or buggy client gets a
+/// typed error instead of panicking a worker thread.
+fn validate_query(extractor: &FeatureExtractor, query: &Query) -> Result<(), ErrorReply> {
+    let dim = extractor.dim(query.kind);
+    if let Weights(Some(w)) = &query.weights {
         if w.len() != dim {
             return Err(ErrorReply::new(
                 ErrorKind::Malformed,
@@ -804,8 +775,8 @@ fn validate_query(
             ));
         }
     }
-    if let QueryMode::Threshold(s) = mode {
-        if !(0.0..=1.0).contains(s) {
+    if let QueryMode::Threshold(s) = query.mode {
+        if !(0.0..=1.0).contains(&s) {
             return Err(ErrorReply::new(
                 ErrorKind::Malformed,
                 format!("similarity threshold {s} outside [0, 1]"),
@@ -816,10 +787,13 @@ fn validate_query(
 }
 
 /// Checks a submitted feature set: every space's vector must match the
-/// server extractor's dimension and contain only finite values.
-fn validate_features(shared: &NetShared, features: &FeatureSet) -> Result<(), ErrorReply> {
+/// extractor's dimension and contain only finite values.
+fn validate_features(
+    extractor: &FeatureExtractor,
+    features: &FeatureSet,
+) -> Result<(), ErrorReply> {
     for kind in FeatureKind::ALL {
-        let dim = shared.search.with_db(|db| db.extractor().dim(kind));
+        let dim = extractor.dim(kind);
         let v = features.get(kind);
         if v.len() != dim {
             return Err(ErrorReply::new(
@@ -841,57 +815,79 @@ fn validate_features(shared: &NetShared, features: &FeatureSet) -> Result<(), Er
     Ok(())
 }
 
-/// Executes one validated request against the wrapped [`SearchServer`].
-fn dispatch(shared: &NetShared, req: Request) -> Response {
-    if let Err(reply) = validate(shared, &req) {
-        return Response::Error(reply);
+/// Checks a multi-step plan's shape (the core `assert!`s on it).
+fn validate_plan(plan: &MultiStepPlan) -> Result<(), ErrorReply> {
+    if plan.steps.is_empty() {
+        return Err(ErrorReply::new(
+            ErrorKind::Malformed,
+            "multi-step plan needs at least one step",
+        ));
     }
+    if plan.candidates == 0 || plan.presented == 0 {
+        return Err(ErrorReply::new(
+            ErrorKind::Malformed,
+            "multi-step candidate and presented counts must be at least 1",
+        ));
+    }
+    Ok(())
+}
+
+/// Executes one request against the wrapped [`SearchServer`]. A search
+/// takes one snapshot, validates against its extractor, runs on it,
+/// and names its hits from it: a write published mid-search can
+/// neither change the dimensions checked nor blank a real hit's name.
+fn dispatch(shared: &NetShared, req: Request) -> Response {
     let search = &shared.search;
-    match req {
-        // Each search names its hits from the snapshot it ran on: a
-        // write published mid-search cannot blank a real hit's name.
+    let outcome = match req {
         Request::SearchFeatures { features, query } => {
             let snap = search.snapshot();
-            let hits = search.search_features_on(&snap, &features, &query);
-            Response::Hits(HitsReport::new(&snap, &hits))
+            validate_features(snap.extractor(), &features)
+                .and_then(|()| validate_query(snap.extractor(), &query))
+                .map(|()| {
+                    let hits = search.search_features_on(&snap, &features, &query);
+                    Response::Hits(HitsReport::new(&snap, &hits))
+                })
         }
         Request::SearchMesh { mesh, query } => {
             let snap = search.snapshot();
-            match search.search_mesh_on(&snap, &mesh, &query) {
-                Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
-                Err(e) => db_error_reply(&e),
-            }
+            validate_query(snap.extractor(), &query).map(|()| {
+                match search.search_mesh_on(&snap, &mesh, &query) {
+                    Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
+                    Err(e) => db_error_reply(&e),
+                }
+            })
         }
-        Request::MultiStep { mesh, plan } => {
+        Request::MultiStep { mesh, plan } => validate_plan(&plan).map(|()| {
             let snap = search.snapshot();
             match search.multi_step_mesh_on(&snap, &mesh, &plan) {
                 Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
                 Err(e) => db_error_reply(&e),
             }
-        }
-        Request::Insert { name, mesh } => match search.insert(name, mesh) {
+        }),
+        Request::Insert { name, mesh } => Ok(match search.insert(name, mesh) {
             Ok(id) => Response::Inserted { id },
             Err(e) => db_error_reply(&e),
-        },
-        Request::Remove { id } => match search.remove(id) {
+        }),
+        Request::Remove { id } => Ok(match search.remove(id) {
             Ok(()) => Response::Removed { id },
             Err(e) => db_error_reply(&e),
-        },
-        Request::Info => Response::Info(InfoReport::for_db(&search.snapshot())),
-        Request::Stats => Response::Stats(StatsReport {
+        }),
+        Request::Info => Ok(Response::Info(InfoReport::for_db(&search.snapshot()))),
+        Request::Stats => Ok(Response::Stats(StatsReport {
             shapes: search.len(),
             server: search.metrics(),
             transport: shared.counters.snapshot(),
             stages: StageStats::collect(),
             requests: RequestStats::collect(&shared.latency),
             cache: search.cache_stats(),
-        }),
-        Request::Traces { last, slow } => Response::Traces(TracesReport {
+        })),
+        Request::Traces { last, slow } => Ok(Response::Traces(TracesReport {
             slow_threshold_us: shared.recorder.slow_threshold_us(),
             traces: shared.recorder.snapshot(last, slow),
-        }),
-        Request::Ping => Response::Pong,
-    }
+        })),
+        Request::Ping => Ok(Response::Pong),
+    };
+    outcome.unwrap_or_else(Response::Error)
 }
 
 /// Maps a core database error onto a typed wire error reply.

@@ -1,10 +1,10 @@
 //! Loopback integration tests for the network tier: concurrent
 //! clients against an in-process baseline, hostile frames, explicit
-//! backpressure, and graceful shutdown with zero dropped in-flight
-//! requests.
+//! backpressure, graceful shutdown with zero dropped in-flight
+//! requests, and the handshake across protocol versions.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -12,7 +12,8 @@ use tdess_core::{MultiStepPlan, Query, SearchServer, ShapeDatabase};
 use tdess_features::{FeatureExtractor, FeatureKind};
 use tdess_geom::{primitives, Vec3};
 use tdess_net::proto::{
-    decode, encode, read_frame, write_frame, Hello, Request, Response, PROTOCOL_VERSION,
+    decode, decode_json, encode, encode_json, read_frame, write_frame, Hello, HelloReply, Request,
+    RequestEnvelope, Response, MAX_TRACE_ID_BYTES, PROTOCOL_VERSION,
 };
 use tdess_net::{
     ErrorKind, HitsReport, NetClient, NetClientConfig, NetServer, NetServerConfig, WireError,
@@ -45,15 +46,30 @@ fn raw_handshake(addr: std::net::SocketAddr) -> TcpStream {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    write_frame(&mut stream, &encode(&Hello::current()).unwrap()).unwrap();
+    write_frame(&mut stream, &encode_json(&Hello::current()).unwrap()).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
-    assert!(matches!(
-        decode::<Response>(&reply).unwrap(),
-        Response::HelloAck {
+    assert_eq!(
+        decode_json::<HelloReply>(&reply).unwrap(),
+        HelloReply::HelloAck {
             version: PROTOCOL_VERSION
         }
-    ));
+    );
     stream
+}
+
+/// A v2 request payload without a trace id.
+fn bare(request: Request) -> Vec<u8> {
+    encode(&RequestEnvelope {
+        trace_id: None,
+        request,
+    })
+    .unwrap()
+}
+
+/// Sends one payload and decodes the binary reply.
+fn exchange(stream: &mut TcpStream, payload: &[u8]) -> Response {
+    write_frame(stream, payload).unwrap();
+    decode::<Response>(&read_frame(stream, 1 << 20).unwrap().unwrap()).unwrap()
 }
 
 #[test]
@@ -140,35 +156,59 @@ fn hostile_frames_get_typed_errors_and_the_connection_survives() {
     });
     let mut stream = raw_handshake(server.local_addr());
 
-    // Garbage payload: typed Malformed error, connection stays up.
-    write_frame(&mut stream, b"{ definitely not a request").unwrap();
-    let reply = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
-    match decode::<Response>(&reply).unwrap() {
-        Response::Error(e) => assert_eq!(e.kind, ErrorKind::Malformed),
-        other => panic!("expected Malformed error, got {other:?}"),
+    // Garbage payloads — text, a v1 JSON request, and a v2 payload
+    // with a trailing byte: typed Malformed errors, connection stays up.
+    let mut trailing = bare(Request::Ping);
+    trailing.push(0);
+    for garbage in [
+        &b"{ definitely not a request"[..],
+        br#"{"trace_id":null,"request":"Ping"}"#,
+        &trailing,
+    ] {
+        match exchange(&mut stream, garbage) {
+            Response::Error(e) => assert_eq!(e.kind, ErrorKind::Malformed),
+            other => panic!("expected Malformed error, got {other:?}"),
+        }
     }
 
     // Oversized frame: typed FrameTooLarge error, payload drained,
     // connection stays up.
-    let big = vec![b'x'; 4096];
-    write_frame(&mut stream, &big).unwrap();
-    let reply = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
-    match decode::<Response>(&reply).unwrap() {
+    match exchange(&mut stream, &[b'x'; 4096]) {
         Response::Error(e) => assert_eq!(e.kind, ErrorKind::FrameTooLarge),
         other => panic!("expected FrameTooLarge error, got {other:?}"),
     }
 
     // The same connection still answers a valid request.
-    write_frame(&mut stream, &encode(&Request::Ping).unwrap()).unwrap();
-    let reply = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
-    assert!(matches!(
-        decode::<Response>(&reply).unwrap(),
-        Response::Pong
-    ));
+    assert_eq!(exchange(&mut stream, &bare(Request::Ping)), Response::Pong);
 
     let stats = server.transport_stats();
-    assert_eq!(stats.decode_errors, 2);
+    assert_eq!(stats.decode_errors, 4);
     server.shutdown();
+}
+
+#[test]
+fn overlong_trace_id_is_malformed_and_the_connection_survives() {
+    let server = serve(NetServerConfig::default());
+    let mut stream = raw_handshake(server.local_addr());
+    let with_id = |bytes: usize| {
+        encode(&RequestEnvelope {
+            trace_id: Some("a".repeat(bytes)),
+            request: Request::Ping,
+        })
+        .unwrap()
+    };
+    match exchange(&mut stream, &with_id(MAX_TRACE_ID_BYTES + 1)) {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::Malformed);
+            assert!(e.message.contains("trace id"), "{}", e.message);
+        }
+        other => panic!("expected Malformed error, got {other:?}"),
+    }
+    assert_eq!(
+        exchange(&mut stream, &with_id(MAX_TRACE_ID_BYTES)),
+        Response::Pong
+    );
+    assert_eq!(exchange(&mut stream, &bare(Request::Ping)), Response::Pong);
 }
 
 #[test]
@@ -182,12 +222,74 @@ fn version_mismatch_is_rejected_with_a_typed_error() {
         magic: "tdess".into(),
         version: PROTOCOL_VERSION + 7,
     };
-    write_frame(&mut stream, &encode(&hello).unwrap()).unwrap();
+    write_frame(&mut stream, &encode_json(&hello).unwrap()).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
-    match decode::<Response>(&reply).unwrap() {
-        Response::Error(e) => assert_eq!(e.kind, ErrorKind::VersionMismatch),
+    match decode_json::<HelloReply>(&reply).unwrap() {
+        HelloReply::Error(e) => assert_eq!(e.kind, ErrorKind::VersionMismatch),
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
+}
+
+#[test]
+fn v1_hello_gets_one_json_version_mismatch_frame() {
+    let server = serve(NetServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut stream, br#"{"magic":"tdess","version":1}"#).unwrap();
+    let reply = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
+    // The shape a v1 client decodes as its `Response::Error`.
+    let value: serde::Value = decode_json(&reply).unwrap();
+    let error = value.get("Error").expect("externally tagged Error");
+    assert_eq!(
+        error.get("kind"),
+        Some(&serde::Value::Str("VersionMismatch".into()))
+    );
+    let message = format!("{:?}", error.get("message"));
+    assert!(
+        message.contains("v1") && message.contains("v2"),
+        "{message}"
+    );
+    // Exactly one frame, then the server hangs up.
+    assert!(read_frame(&mut stream, 1 << 20).unwrap().is_none());
+}
+
+/// A one-connection stub that reads the client's hello and answers
+/// with `reply`, standing in for a server of another version.
+fn stub_server(reply: &'static [u8]) -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
+        write_frame(&mut stream, reply).unwrap();
+        hello
+    });
+    (addr, handle)
+}
+
+#[test]
+fn client_reports_a_v1_servers_version_mismatch_as_remote() {
+    let (addr, stub) = stub_server(
+        br#"{"Error":{"kind":"VersionMismatch","message":"peer speaks tdess/v2, this server speaks tdess/v1"}}"#,
+    );
+    let err = NetClient::connect_default(addr).err().expect("refused");
+    assert!(
+        matches!(&err, WireError::Remote(e) if e.kind == ErrorKind::VersionMismatch),
+        "got: {err}"
+    );
+    let hello: Hello = decode_json(&stub.join().unwrap()).unwrap();
+    assert_eq!(hello, Hello::current());
+}
+
+#[test]
+fn client_rejects_a_v1_hello_ack() {
+    let (addr, stub) = stub_server(br#"{"HelloAck":{"version":1}}"#);
+    let err = NetClient::connect_default(addr).err().expect("refused");
+    assert!(matches!(&err, WireError::Handshake(_)), "got: {err}");
+    assert!(err.to_string().contains("v1"), "{err}");
+    stub.join().unwrap();
 }
 
 #[test]
@@ -251,8 +353,8 @@ fn full_accept_queue_answers_busy() {
     let mut c = TcpStream::connect(addr).unwrap();
     c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let reply = read_frame(&mut c, 1 << 20).unwrap().unwrap();
-    match decode::<Response>(&reply).unwrap() {
-        Response::Error(e) => assert_eq!(e.kind, ErrorKind::Busy),
+    match decode_json::<HelloReply>(&reply).unwrap() {
+        HelloReply::Error(e) => assert_eq!(e.kind, ErrorKind::Busy),
         other => panic!("expected Busy, got {other:?}"),
     }
 
@@ -264,11 +366,11 @@ fn full_accept_queue_answers_busy() {
     drop(a);
     let mut b = b;
     b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write_frame(&mut b, &encode(&Hello::current()).unwrap()).unwrap();
+    write_frame(&mut b, &encode_json(&Hello::current()).unwrap()).unwrap();
     let reply = read_frame(&mut b, 1 << 20).unwrap().unwrap();
     assert!(matches!(
-        decode::<Response>(&reply).unwrap(),
-        Response::HelloAck { .. }
+        decode_json::<HelloReply>(&reply).unwrap(),
+        HelloReply::HelloAck { .. }
     ));
     server.shutdown();
 }
@@ -283,7 +385,7 @@ fn graceful_shutdown_completes_the_in_flight_request() {
 
     // Start a request frame but deliver only half of it: the server
     // has read the header, so the request is in flight.
-    let payload = encode(&Request::Ping).unwrap();
+    let payload = bare(Request::Ping);
     let mut frame = Vec::new();
     write_frame(&mut frame, &payload).unwrap();
     let split = frame.len() / 2;

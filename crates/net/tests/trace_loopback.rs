@@ -40,6 +40,33 @@ fn traced_config() -> NetServerConfig {
     }
 }
 
+/// A client's trace id crosses the binary envelope intact and names
+/// the trace the flight recorder keeps.
+#[test]
+fn client_trace_id_names_the_retained_trace() {
+    let cfg = NetServerConfig {
+        workers: 1,
+        trace_sample_one_in: 1,
+        ..NetServerConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", cached_search_server(), cfg).unwrap();
+    let mut client = NetClient::connect_default(server.local_addr()).unwrap();
+    client.ping().unwrap();
+    let id = client.last_trace_id().unwrap().to_string();
+    assert_eq!(id.len(), 16);
+    // The same connection's next request is answered after the ping's
+    // trace was recorded.
+    let report = client.traces(0, false).unwrap();
+    assert!(
+        report
+            .traces
+            .iter()
+            .any(|t| t.trace_id == id && t.name == "Ping"),
+        "no Ping trace with id {id}: {:?}",
+        report.traces
+    );
+}
+
 /// The acceptance path: drive a search over the wire, pull the trace
 /// back with the `Traces` request, and verify the span tree — request
 /// root, nested stage spans, cache annotations — plus the tail

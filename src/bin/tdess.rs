@@ -172,8 +172,9 @@ fn has_flag(flags: &[(String, String)], name: &str) -> bool {
     flag(flags, name).is_some()
 }
 
-/// Serializes a wire-protocol payload to the one-line JSON the
-/// `--json` flag promises.
+/// Prints a report (`HitsReport`, `InfoReport`, `StatsReport`) as the
+/// one-line serde JSON the `--json` flag promises. The wire carries
+/// hits as binary, so this is the reports' JSON, not the wire bytes.
 fn print_json<T: serde::Serialize>(value: &T) -> Result<(), String> {
     println!(
         "{}",
