@@ -101,13 +101,6 @@ impl CacheKey {
         let (hi, lo) = h.finish128();
         CacheKey { hi, lo }
     }
-
-    /// The shard index for this key among `shards` shards
-    /// (power of two).
-    pub(crate) fn shard(&self, shards: usize) -> usize {
-        debug_assert!(shards.is_power_of_two());
-        (self.lo as usize) & (shards - 1)
-    }
 }
 
 /// Rounds a canonical-space coordinate onto the quantization grid.
@@ -378,14 +371,5 @@ mod tests {
             t.swap(0, 1);
         }
         assert_ne!(CacheKey::derive(&rewound, &ex), k0);
-    }
-
-    #[test]
-    fn shard_is_stable_and_in_range() {
-        let mesh = primitives::box_mesh(Vec3::new(2.0, 1.0, 0.5));
-        let k = key_of(&mesh, &extractor());
-        assert_eq!(k.shard(16), k.shard(16));
-        assert!(k.shard(16) < 16);
-        assert!(k.shard(1) == 0);
     }
 }

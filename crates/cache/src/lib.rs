@@ -12,45 +12,43 @@
 //!   configuration, and [`PIPELINE_VERSION`]. Two exports of the same
 //!   part collide; anything that would change the extracted vectors
 //!   misses. See `key.rs` for the invariance contract.
-//! * a sharded, byte-budgeted LRU over extracted `FeatureSet`s
-//!   (`lru.rs`) — per-shard locks, exact cost accounting, strict
-//!   budget.
-//! * singleflight coalescing (`flight.rs`) — N concurrent identical
-//!   queries run exactly one extraction; the rest block on the shared
-//!   cell and reuse its result.
+//! * [`FeatureCache`] — one map from key to slot under one lock. A
+//!   slot is either an extraction in flight (a shared `OnceLock` cell)
+//!   or a resident `FeatureSet` with its accounted cost and last-use
+//!   tick. A recency index orders the resident keys by tick, and the
+//!   oldest are evicted to keep a strict byte budget.
 //!
-//! [`FeatureCache::get_or_extract`] composes the three:
+//! [`FeatureCache::get_or_extract`] acts on what the lookup finds:
 //!
 //! ```text
-//! lookup ──hit──────────────────────────────▶ Arc<FeatureSet>
-//!   │ miss
-//! enter flight (re-checks store under table lock)
-//!   ├─ resident ──────────────────────────────▶ hit
-//!   └─ flight: get_or_init
-//!        ├─ leader: extract, admit, retire ───▶ miss
-//!        └─ follower: block on leader ────────▶ coalesced wait
+//! lock, look up the key
+//!   ├─ resident: bump its tick ──────────────────────▶ hit
+//!   ├─ in flight: unlock, wait on the cell ──────────▶ coalesced wait
+//!   └─ absent: insert an in-flight slot, unlock,
+//!      extract through the cell, lock, make the slot
+//!      resident, evict the oldest to the budget ─────▶ miss
 //! ```
 //!
-//! The extraction closure runs outside every cache lock; the cache
-//! never re-enters itself. Counters are plain atomics — reading stats
-//! never contends with the data path.
+//! N concurrent identical queries therefore run one extraction: the
+//! rest block on the shared cell and reuse its result. Only resident
+//! keys enter the recency index, so eviction can never drop an
+//! extraction in flight. The extraction closure runs outside the lock;
+//! the cache never re-enters itself. The counters are plain fields
+//! under the same lock, so a stats reading is one consistent state and
+//! never shows the budget exceeded.
 
 #![forbid(unsafe_code)]
 
-mod flight;
 mod key;
-mod lru;
 
 pub use key::{CacheKey, PIPELINE_VERSION};
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use tdess_features::FeatureSet;
-
-use flight::{FlightMap, Joined, Landed};
-use lru::ShardedLru;
 
 /// Address of a span in some request trace: `(trace id, span id)`.
 ///
@@ -60,11 +58,10 @@ use lru::ShardedLru;
 /// back to link into their own traces.
 pub type SpanLink = Option<(Arc<str>, u32)>;
 
-/// How a [`FeatureCache::get_or_extract_with`] call was satisfied.
+/// How a [`FeatureCache::get_or_extract`] call was satisfied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Served from the resident store (including a flight re-check
-    /// that found the value already landed).
+    /// Served from a resident entry.
     Hit,
     /// This caller ran the extraction (it led the flight).
     Miss,
@@ -77,46 +74,29 @@ pub enum CacheOutcome {
 }
 
 /// Fixed per-entry overhead charged on top of the vector payload:
-/// node, hash-map slot, and `Arc` bookkeeping.
+/// map slot, recency entry, and `Arc` bookkeeping.
 const ENTRY_OVERHEAD_BYTES: u64 = 256;
 
 /// Configuration for a [`FeatureCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total byte budget across all shards.
+    /// Byte budget for the resident entries.
     pub max_bytes: u64,
-    /// Shard count; rounded up to a power of two, minimum 1.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             max_bytes: 256 << 20,
-            shards: 16,
         }
     }
 }
 
-/// Monotonic counters + gauges. All cross-thread; RMWs use `AcqRel`
-/// and reads `Acquire` so a stats snapshot taken after an operation
-/// observes that operation's effects.
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced_waits: AtomicU64,
-    evictions: AtomicU64,
-    resident_bytes: AtomicU64,
-    entries: AtomicU64,
-}
-
-/// One consistent-enough reading of the cache counters, serializable
-/// for the stats wire protocol and the metrics endpoint.
+/// One consistent reading of the cache counters, serializable for the
+/// stats wire protocol and the metrics endpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStatsSnapshot {
-    /// Lookups answered from the store (including flight re-checks
-    /// that found the value already landed).
+    /// Lookups answered from a resident entry.
     pub hits: u64,
     /// Extractions actually run (one per flight).
     pub misses: u64,
@@ -134,24 +114,85 @@ pub struct CacheStatsSnapshot {
     pub capacity_bytes: u64,
 }
 
+/// What the caller that ran an extraction publishes through the
+/// in-flight cell: the features plus its span address, so followers
+/// can link (rather than duplicate) the one extraction that ran.
+struct Landed {
+    value: Arc<FeatureSet>,
+    leader: SpanLink,
+}
+
+/// What the map holds for one key.
+enum Slot {
+    /// An extraction is running; every caller with this key waits on
+    /// the same cell.
+    InFlight(Arc<OnceLock<Landed>>),
+    /// An extracted set, its accounted cost, and its last-use tick
+    /// (its key in [`State::recency`]).
+    Resident {
+        value: Arc<FeatureSet>,
+        cost: u64,
+        tick: u64,
+    },
+}
+
+/// Everything the cache's one lock guards.
+struct State {
+    slots: HashMap<CacheKey, Slot>,
+    /// Resident keys by last-use tick, oldest first: the eviction
+    /// order. Keys in flight are never here.
+    recency: BTreeMap<u64, CacheKey>,
+    /// The last tick handed out; ticks only grow.
+    clock: u64,
+    stats: CacheStatsSnapshot,
+}
+
+impl State {
+    /// Makes `key`'s slot resident as the most recently used entry,
+    /// then evicts the oldest resident entries until the budget holds.
+    /// The new entry goes last, so one larger than the whole budget is
+    /// evicted at once (its callers still hold the value; it is just
+    /// not retained).
+    fn admit(&mut self, key: CacheKey, value: Arc<FeatureSet>) {
+        let cost = entry_cost(&value);
+        self.clock += 1;
+        let tick = self.clock;
+        self.slots.insert(key, Slot::Resident { value, cost, tick });
+        self.recency.insert(tick, key);
+        self.stats.entries += 1;
+        self.stats.resident_bytes += cost;
+        while self.stats.resident_bytes > self.stats.capacity_bytes {
+            let Some((_, oldest)) = self.recency.pop_first() else {
+                break;
+            };
+            if let Some(Slot::Resident { cost, .. }) = self.slots.remove(&oldest) {
+                self.stats.resident_bytes -= cost;
+                self.stats.entries -= 1;
+                self.stats.evictions += 1;
+            }
+        }
+    }
+}
+
 /// The content-addressed extraction cache. Cheap to share: wrap it in
 /// an `Arc` and hand clones to every worker.
 pub struct FeatureCache {
-    store: ShardedLru,
-    flights: FlightMap,
-    counters: Counters,
-    capacity_bytes: u64,
+    state: Mutex<State>,
 }
 
 impl FeatureCache {
-    /// Builds a cache with the given budget and sharding.
+    /// Builds an empty cache with the given byte budget.
     pub fn with_config(config: CacheConfig) -> FeatureCache {
-        let shards = config.shards.next_power_of_two().max(1);
         FeatureCache {
-            store: ShardedLru::with_budget(config.max_bytes, shards),
-            flights: FlightMap::empty(),
-            counters: Counters::default(),
-            capacity_bytes: config.max_bytes,
+            state: Mutex::new(State {
+                slots: HashMap::default(),
+                recency: BTreeMap::default(),
+                clock: 0,
+                stats: CacheStatsSnapshot {
+                    capacity_bytes: config.max_bytes,
+                    ..CacheStatsSnapshot::default()
+                },
+            }),
         }
     }
 
@@ -159,24 +200,18 @@ impl FeatureCache {
     /// `produce_features` exactly once across all concurrent callers
     /// with this key and caches its result.
     ///
-    /// The closure runs outside every cache lock. It must not call
-    /// back into this cache (it has no reason to — it is the raw
-    /// extraction pipeline).
-    pub fn get_or_extract<F>(&self, key: CacheKey, produce_features: F) -> Arc<FeatureSet>
-    where
-        F: FnOnce() -> FeatureSet,
-    {
-        self.get_or_extract_with(key, None, produce_features).0
-    }
-
-    /// [`get_or_extract`](FeatureCache::get_or_extract), plus span
-    /// linkage: `my_link` is the caller's current span address (pass
-    /// `None` when not tracing); if this caller leads the flight the
-    /// link is published with the value, and a coalesced follower
-    /// receives the *leader's* link in its [`CacheOutcome`] so the one
-    /// real extraction span can be referenced — not duplicated — from
-    /// the follower's trace.
-    pub fn get_or_extract_with<F>(
+    /// `my_link` is the caller's current span address (`None` when not
+    /// tracing). The caller that runs the extraction publishes its link
+    /// with the value, and a coalesced follower receives that *leader's*
+    /// link in its [`CacheOutcome`], so the one real extraction span can
+    /// be referenced — not duplicated — from the follower's trace.
+    ///
+    /// The closure runs outside the cache's lock. It must not call back
+    /// into this cache (it has no reason to — it is the raw extraction
+    /// pipeline). The leader is whichever caller's closure runs: should
+    /// it panic, the cell stays empty and the next caller waiting on it
+    /// runs its own.
+    pub fn get_or_extract<F>(
         &self,
         key: CacheKey,
         my_link: SpanLink,
@@ -185,87 +220,56 @@ impl FeatureCache {
     where
         F: FnOnce() -> FeatureSet,
     {
-        if let Some(v) = self.store.lookup(&key) {
-            self.counters.hits.fetch_add(1, Ordering::AcqRel);
-            return (v, CacheOutcome::Hit);
-        }
-        match self.flights.enter(&key, &self.store) {
-            Joined::Resident(v) => {
-                self.counters.hits.fetch_add(1, Ordering::AcqRel);
-                (v, CacheOutcome::Hit)
-            }
-            Joined::Flight(cell) => {
-                let mut led = false;
-                let landed = cell.get_or_init(|| {
-                    led = true;
-                    Landed {
-                        value: Arc::new(produce_features()),
-                        leader: my_link,
-                    }
-                });
-                let v = Arc::clone(&landed.value);
-                if led {
-                    self.counters.misses.fetch_add(1, Ordering::AcqRel);
-                    let outcome = self.store.admit(key, Arc::clone(&v), entry_cost(&v));
-                    self.apply(&outcome);
-                    self.flights.retire(&key);
-                    (v, CacheOutcome::Miss)
-                } else {
-                    self.counters.coalesced_waits.fetch_add(1, Ordering::AcqRel);
-                    (
-                        v,
-                        CacheOutcome::Coalesced {
-                            leader: clone_link(&landed.leader),
-                        },
-                    )
+        let cell = {
+            let mut guard = self.lock_state();
+            let state = &mut *guard;
+            state.clock += 1;
+            let slot = state
+                .slots
+                .entry(key)
+                .or_insert_with(|| Slot::InFlight(Arc::default()));
+            match slot {
+                Slot::Resident { value, tick, .. } => {
+                    state.recency.remove(tick);
+                    state.recency.insert(state.clock, key);
+                    *tick = state.clock;
+                    state.stats.hits += 1;
+                    return (Arc::clone(value), CacheOutcome::Hit);
                 }
+                Slot::InFlight(cell) => Arc::clone(cell),
             }
-        }
-    }
-
-    /// Folds one LRU outcome into the gauges as net deltas, so an
-    /// observer never sees `resident_bytes` transiently above the
-    /// budget.
-    fn apply(&self, outcome: &lru::LruOutcome) {
-        if outcome.bytes_added >= outcome.bytes_evicted {
-            self.counters.resident_bytes.fetch_add(
-                outcome.bytes_added - outcome.bytes_evicted,
-                Ordering::AcqRel,
-            );
+        };
+        let mut led = false;
+        let landed = cell.get_or_init(|| {
+            led = true;
+            Landed {
+                value: Arc::new(produce_features()),
+                leader: my_link,
+            }
+        });
+        let value = Arc::clone(&landed.value);
+        let mut state = self.lock_state();
+        if led {
+            state.stats.misses += 1;
+            state.admit(key, Arc::clone(&value));
+            (value, CacheOutcome::Miss)
         } else {
-            self.counters.resident_bytes.fetch_sub(
-                outcome.bytes_evicted - outcome.bytes_added,
-                Ordering::AcqRel,
-            );
-        }
-        let added = u64::from(outcome.inserted);
-        if added >= outcome.evicted {
-            self.counters
-                .entries
-                .fetch_add(added - outcome.evicted, Ordering::AcqRel);
-        } else {
-            self.counters
-                .entries
-                .fetch_sub(outcome.evicted - added, Ordering::AcqRel);
-        }
-        if outcome.evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(outcome.evicted, Ordering::AcqRel);
+            state.stats.coalesced_waits += 1;
+            let leader = clone_link(&landed.leader);
+            (value, CacheOutcome::Coalesced { leader })
         }
     }
 
     /// A point-in-time reading of every counter and gauge.
     pub fn stats_snapshot(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.counters.hits.load(Ordering::Acquire),
-            misses: self.counters.misses.load(Ordering::Acquire),
-            coalesced_waits: self.counters.coalesced_waits.load(Ordering::Acquire),
-            evictions: self.counters.evictions.load(Ordering::Acquire),
-            resident_bytes: self.counters.resident_bytes.load(Ordering::Acquire),
-            entries: self.counters.entries.load(Ordering::Acquire),
-            capacity_bytes: self.capacity_bytes,
-        }
+        self.lock_state().stats
+    }
+
+    /// Takes the cache's one lock, the only place it is taken. Every
+    /// critical section is a few map and counter updates.
+    fn lock_state(&self) -> MutexGuard<'_, State> {
+        // hotpath: allow(hot-block) — a few map and counter updates per section; the extraction runs outside it
+        self.state.lock()
     }
 }
 
@@ -292,7 +296,7 @@ fn entry_cost(features: &FeatureSet) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use tdess_features::{normalize, FeatureExtractor};
     use tdess_geom::{primitives, Vec3};
 
@@ -313,16 +317,21 @@ mod tests {
         }
     }
 
+    /// Looks `k` up, returning only the value.
+    fn get(cache: &FeatureCache, k: CacheKey, tag: f64) -> Arc<FeatureSet> {
+        cache.get_or_extract(k, None, || features(tag)).0
+    }
+
     #[test]
     fn hit_returns_the_first_extraction_bit_identical() {
         let cache = FeatureCache::with_config(CacheConfig::default());
         let calls = AtomicUsize::new(0);
         let k = key(1);
-        let first = cache.get_or_extract(k, || {
+        let (first, _) = cache.get_or_extract(k, None, || {
             calls.fetch_add(1, Ordering::SeqCst);
             features(0.25)
         });
-        let second = cache.get_or_extract(k, || {
+        let (second, _) = cache.get_or_extract(k, None, || {
             calls.fetch_add(1, Ordering::SeqCst);
             features(0.75)
         });
@@ -337,8 +346,8 @@ mod tests {
     #[test]
     fn distinct_keys_extract_separately() {
         let cache = FeatureCache::with_config(CacheConfig::default());
-        let a = cache.get_or_extract(key(1), || features(1.0));
-        let b = cache.get_or_extract(key(2), || features(2.0));
+        let a = get(&cache, key(1), 1.0);
+        let b = get(&cache, key(2), 2.0);
         assert_eq!(a.moment_invariants[0], 1.0);
         assert_eq!(b.moment_invariants[0], 2.0);
         assert_eq!(cache.stats_snapshot().misses, 2);
@@ -346,41 +355,72 @@ mod tests {
 
     #[test]
     fn zero_budget_cache_still_serves_but_retains_nothing() {
-        let cache = FeatureCache::with_config(CacheConfig {
-            max_bytes: 0,
-            shards: 2,
-        });
-        let v = cache.get_or_extract(key(1), || features(1.0));
+        let cache = FeatureCache::with_config(CacheConfig { max_bytes: 0 });
+        let v = get(&cache, key(1), 1.0);
         assert_eq!(v.moment_invariants[0], 1.0);
         let s = cache.stats_snapshot();
         assert_eq!(s.entries, 0);
         assert_eq!(s.resident_bytes, 0);
         assert_eq!(s.evictions, 1);
         // Re-query extracts again — still correct, never stale.
-        let again = cache.get_or_extract(key(1), || features(3.0));
+        let again = get(&cache, key(1), 3.0);
         assert_eq!(again.moment_invariants[0], 3.0);
     }
 
     #[test]
-    fn shard_count_is_normalized_to_power_of_two() {
-        // Odd shard counts must not panic or mis-route keys.
+    fn eviction_is_lru_ordered_and_budgeted() {
+        // A budget of exactly three entries: the fourth evicts the
+        // least recently used.
+        let cost = entry_cost(&features(0.0));
         let cache = FeatureCache::with_config(CacheConfig {
-            max_bytes: 1 << 20,
-            shards: 7,
+            max_bytes: 3 * cost,
         });
-        for i in 0..32 {
-            let v = cache.get_or_extract(key(i), || features(i as f64));
-            assert_eq!(v.moment_invariants[0], i as f64);
+        let (a, b, c, d) = (key(1), key(2), key(3), key(4));
+        for (k, tag) in [(a, 1.0), (b, 2.0), (c, 3.0)] {
+            get(&cache, k, tag);
         }
-        assert_eq!(cache.stats_snapshot().entries, 32);
+        assert_eq!(cache.stats_snapshot().entries, 3);
+        // Touch `a` so `b` is now the oldest.
+        assert_eq!(get(&cache, a, 9.0).moment_invariants[0], 1.0);
+        get(&cache, d, 4.0);
+        let s = cache.stats_snapshot();
+        assert_eq!((s.entries, s.evictions), (3, 1));
+        assert_eq!(s.resident_bytes, 3 * cost);
+        // `a`, `c` and `d` hit with their first values; `b` was
+        // evicted and extracts again.
+        for (k, tag) in [(a, 1.0), (c, 3.0), (d, 4.0)] {
+            assert_eq!(get(&cache, k, 9.0).moment_invariants[0], tag);
+        }
+        assert_eq!(cache.stats_snapshot().misses, 4);
+        let (again, outcome) = cache.get_or_extract(b, None, || features(5.0));
+        assert_eq!(outcome, CacheOutcome::Miss, "the oldest entry went first");
+        assert_eq!(again.moment_invariants[0], 5.0);
+        assert!(cache.stats_snapshot().resident_bytes <= 3 * cost);
+    }
+
+    #[test]
+    fn oversized_entry_is_not_retained() {
+        let cost = entry_cost(&features(0.0));
+        let cache = FeatureCache::with_config(CacheConfig {
+            max_bytes: 2 * cost,
+        });
+        get(&cache, key(1), 1.0);
+        let mut big = features(2.0);
+        big.shape_distribution = vec![2.0; 1000];
+        let (v, outcome) = cache.get_or_extract(key(2), None, || big);
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(v.shape_distribution.len(), 1000, "the caller still gets it");
+        let s = cache.stats_snapshot();
+        // The resident entry goes first, then the new one itself.
+        assert_eq!((s.entries, s.resident_bytes, s.evictions), (0, 0, 2));
     }
 
     #[test]
     fn outcomes_distinguish_hit_from_miss() {
         let cache = FeatureCache::with_config(CacheConfig::default());
         let k = key(5);
-        let (_, first) = cache.get_or_extract_with(k, None, || features(1.0));
-        let (_, second) = cache.get_or_extract_with(k, None, || features(2.0));
+        let (_, first) = cache.get_or_extract(k, None, || features(1.0));
+        let (_, second) = cache.get_or_extract(k, None, || features(2.0));
         assert_eq!(first, CacheOutcome::Miss);
         assert_eq!(second, CacheOutcome::Hit);
     }
@@ -396,7 +436,7 @@ mod tests {
             let cache = Arc::clone(&cache);
             let link: SpanLink = Some((Arc::from("leader-trace"), 7));
             std::thread::spawn(move || {
-                cache.get_or_extract_with(k, link, || {
+                cache.get_or_extract(k, link, || {
                     started_tx.send(()).expect("send started");
                     release_rx.recv().expect("recv release");
                     features(1.0)
@@ -410,7 +450,7 @@ mod tests {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
                 let link: SpanLink = Some((Arc::from("follower-trace"), 3));
-                cache.get_or_extract_with(k, link, || features(2.0))
+                cache.get_or_extract(k, link, || features(2.0))
             })
         };
         // Let the follower reach the flight cell, then release.
@@ -439,7 +479,7 @@ mod tests {
     #[test]
     fn stats_snapshot_round_trips_through_serde() {
         let cache = FeatureCache::with_config(CacheConfig::default());
-        let _ = cache.get_or_extract(key(1), || features(1.0));
+        get(&cache, key(1), 1.0);
         let s = cache.stats_snapshot();
         let json = serde_json::to_string(&s).unwrap();
         let back: CacheStatsSnapshot = serde_json::from_str(&json).unwrap();

@@ -45,13 +45,15 @@ fn n_threads_one_key_exactly_one_extraction() {
             .map(|_| {
                 scope.spawn(|| {
                     barrier.wait();
-                    cache.get_or_extract(k, || {
-                        extractions.fetch_add(1, Ordering::SeqCst);
-                        // Hold the flight open long enough that the
-                        // herd piles up behind it.
-                        thread::sleep(Duration::from_millis(50));
-                        features(0.5, 32)
-                    })
+                    cache
+                        .get_or_extract(k, None, || {
+                            extractions.fetch_add(1, Ordering::SeqCst);
+                            // Hold the flight open long enough that the
+                            // herd piles up behind it.
+                            thread::sleep(Duration::from_millis(50));
+                            features(0.5, 32)
+                        })
+                        .0
                 })
             })
             .collect();
@@ -88,14 +90,14 @@ fn budget_holds_under_concurrent_admits() {
     // the 320 distinct keys, so eviction churns the whole run.
     let cache = Arc::new(FeatureCache::with_config(CacheConfig {
         max_bytes: 64 << 10,
-        shards: 4,
     }));
     let done = AtomicBool::new(false);
     let over_budget = AtomicUsize::new(0);
 
     thread::scope(|scope| {
-        // A sampler hammers the gauge while writers churn: the
-        // net-delta update means no sample may ever exceed capacity.
+        // A sampler hammers the gauge while writers churn: stats are
+        // read under the cache's lock, never mid-eviction, so no sample
+        // may ever exceed capacity.
         scope.spawn(|| {
             while !done.load(Ordering::Acquire) {
                 let s = cache.stats_snapshot();
@@ -111,7 +113,7 @@ fn budget_holds_under_concurrent_admits() {
                 scope.spawn(move || {
                     for i in 0..KEYS_PER_WRITER {
                         let k = key(w as u64 * KEYS_PER_WRITER + i + 1);
-                        let v = cache.get_or_extract(k, || features(i as f64, 300));
+                        let (v, _) = cache.get_or_extract(k, None, || features(i as f64, 300));
                         assert_eq!(v.moment_invariants[0], i as f64);
                     }
                 })
@@ -160,7 +162,7 @@ fn herds_on_distinct_keys_do_not_serialize_each_other() {
         for k in [k1, k2] {
             for _ in 0..PER_HERD {
                 handles.push(scope.spawn(move || {
-                    cache.get_or_extract(k, || {
+                    cache.get_or_extract(k, None, || {
                         extractions.fetch_add(1, Ordering::SeqCst);
                         // Rendezvous with the *other* key's leader —
                         // only possible if flights are independent.

@@ -45,6 +45,7 @@ pub use persist::{
 pub use server::{bulk_insert, SearchServer, ServerMetrics};
 pub use similarity::{similarity, threshold_to_radius, weighted_distance, Weights};
 pub use snapshot::{
-    checksum64, load_binary, load_binary_bytes, save_binary, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    check_vector, checksum64, load_binary, load_binary_bytes, save_binary, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 pub use tdess_cache::{CacheConfig, CacheStatsSnapshot, FeatureCache};

@@ -235,7 +235,8 @@ impl JsonDatabase {
         }
         for s in &self.shapes {
             for kind in FeatureKind::ALL {
-                check_vector(s.id, kind, s.features.get(kind), self.extractor.dim(kind))?;
+                check_vector(kind, s.features.get(kind), self.extractor.dim(kind))
+                    .map_err(|reason| format!("shape {}: {reason}", s.id))?;
             }
         }
         ShapeDatabase::from_loaded_parts(

@@ -204,7 +204,7 @@ impl SearchServer {
                 // publishes it to coalesced followers as the address
                 // of the one extraction that actually ran.
                 let link = tdess_obs::current_span_link();
-                let (features, outcome) = cache.get_or_extract_with(key, link, || {
+                let (features, outcome) = cache.get_or_extract(key, link, || {
                     extractor.extract_from_normalized(mesh, &normalized)
                 });
                 annotate_cache_outcome(&outcome);

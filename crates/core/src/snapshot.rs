@@ -455,24 +455,21 @@ pub(crate) fn check_extractor(extractor: &FeatureExtractor) -> Result<(), String
     Ok(())
 }
 
-/// Rejects a loaded feature vector that does not hold exactly `dim`
-/// finite values. Shared by both formats; a `TDSS` vector has `dim`
-/// values by construction, so only its finiteness can fail there.
-pub(crate) fn check_vector(
-    id: ShapeId,
-    kind: FeatureKind,
-    v: &[f64],
-    dim: usize,
-) -> Result<(), String> {
+/// Rejects a feature vector that does not hold exactly `dim` finite
+/// values, `dim` being the extractor's dimension for `kind`. Shared by
+/// both load formats, which prefix the shape id, and by the network
+/// front end for submitted vectors. A `TDSS` vector has `dim` values by
+/// construction, so only its finiteness can fail there.
+pub fn check_vector(kind: FeatureKind, v: &[f64], dim: usize) -> Result<(), String> {
     if v.len() != dim {
-        // hotpath: allow(hot-alloc) — error path: formats once, then the load aborts; `load` is on the hot path only by name
+        // hotpath: allow(hot-alloc) — formats only on the rejected path: the load aborts or the request is refused
         return Err(format!(
-            "shape {id} has {} {kind:?} values, the extractor config implies {dim}",
+            "{kind:?} vector has {} values, the extractor config implies {dim}",
             v.len()
         ));
     }
     if !v.iter().all(|x| x.is_finite()) {
-        return Err(format!("shape {id} has a non-finite {kind:?} vector"));
+        return Err(format!("{kind:?} vector has non-finite values"));
     }
     Ok(())
 }
@@ -663,8 +660,8 @@ fn decode_features(
             let v = cur.f64_vec(dim)?;
             // Checked here, while the freshly decoded values are
             // cache-hot, instead of in a second pass over every vector.
-            check_vector(shape.id, kind, &v, dim)
-                .map_err(|reason| corrupt(path, "FEAT", reason))?;
+            check_vector(kind, &v, dim)
+                .map_err(|reason| corrupt(path, "FEAT", format!("shape {}: {reason}", shape.id)))?;
             match kind {
                 FeatureKind::MomentInvariants => shape.features.moment_invariants = v,
                 FeatureKind::GeometricParams => shape.features.geometric = v,

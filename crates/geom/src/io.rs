@@ -11,8 +11,6 @@ use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut};
-
 use crate::mesh::TriMesh;
 use crate::vec3::Vec3;
 
@@ -69,16 +67,16 @@ pub fn write_stl_binary<W: Write>(mesh: &TriMesh, w: &mut W) -> Result<(), IoErr
     let mut header = [0u8; 80];
     let tag = b"3DESS binary STL";
     header[..tag.len()].copy_from_slice(tag);
-    buf.put_slice(&header);
-    buf.put_u32_le(mesh.num_triangles() as u32);
+    buf.extend_from_slice(&header);
+    buf.extend_from_slice(&(mesh.num_triangles() as u32).to_le_bytes());
     for [a, b, c] in mesh.triangle_iter() {
         let n = (b - a).cross(c - a).normalized().unwrap_or(Vec3::ZERO);
         for v in [n, a, b, c] {
-            buf.put_f32_le(v.x as f32);
-            buf.put_f32_le(v.y as f32);
-            buf.put_f32_le(v.z as f32);
+            for x in [v.x, v.y, v.z] {
+                buf.extend_from_slice(&(x as f32).to_le_bytes());
+            }
         }
-        buf.put_u16_le(0); // attribute byte count
+        buf.extend_from_slice(&0u16.to_le_bytes()); // attribute byte count
     }
     w.write_all(&buf)?;
     Ok(())
@@ -123,11 +121,10 @@ pub fn read_stl<R: Read>(r: &mut R, weld_eps: f64) -> Result<TriMesh, IoError> {
 }
 
 fn read_stl_binary_bytes(data: &[u8]) -> Result<TriMesh, IoError> {
-    if data.len() < 84 {
+    let Some(&[c0, c1, c2, c3]) = data.get(80..84) else {
         return Err(parse_err("binary STL shorter than header"));
-    }
-    let mut buf = &data[80..];
-    let count = buf.get_u32_le() as usize;
+    };
+    let count = u32::from_le_bytes([c0, c1, c2, c3]) as usize;
     let expected = 84 + count * 50;
     if data.len() < expected {
         return Err(parse_err(format!(
@@ -135,23 +132,29 @@ fn read_stl_binary_bytes(data: &[u8]) -> Result<TriMesh, IoError> {
             data.len()
         )));
     }
-    // audit: allow(wire-alloc) — count is bounded by the truncation check above: 50 bytes per triangle must be present
-    let mut vertices = Vec::with_capacity(count * 3);
-    // audit: allow(wire-alloc) — count is bounded by the truncation check above: 50 bytes per triangle must be present
-    let mut triangles = Vec::with_capacity(count);
-    for t in 0..count {
-        let _normal = (buf.get_f32_le(), buf.get_f32_le(), buf.get_f32_le());
-        let base = (t * 3) as u32;
-        for _ in 0..3 {
-            let x = buf.get_f32_le() as f64;
-            let y = buf.get_f32_le() as f64;
-            let z = buf.get_f32_le() as f64;
-            vertices.push(Vec3::new(x, y, z));
+    // Each 50-byte facet: a normal, three vertices (three f32 each),
+    // and a u16 attribute count. The buffers are sized by the facets
+    // actually present.
+    let facets = data[84..expected].chunks_exact(50);
+    let mut vertices = Vec::with_capacity(3 * facets.len());
+    let mut triangles = Vec::with_capacity(facets.len());
+    for (t, facet) in facets.enumerate() {
+        for v in facet[12..48].chunks_exact(12) {
+            vertices.push(Vec3::new(
+                le_f32(&v[0..4]),
+                le_f32(&v[4..8]),
+                le_f32(&v[8..12]),
+            ));
         }
-        let _attr = buf.get_u16_le();
+        let base = (t * 3) as u32;
         triangles.push([base, base + 1, base + 2]);
     }
     Ok(TriMesh::new(vertices, triangles))
+}
+
+/// Decodes a little-endian `f32` from a 4-byte slice.
+fn le_f32(b: &[u8]) -> f64 {
+    f64::from(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 fn read_stl_ascii_bytes(data: &[u8]) -> Result<TriMesh, IoError> {

@@ -78,7 +78,6 @@
 
 use std::io::{IoSlice, Read, Write};
 
-use bytes::Buf;
 use serde::{Deserialize, Serialize};
 use tdess_core::MultiStepPlan;
 use tdess_core::{CacheStatsSnapshot, Query, SearchHit, ServerMetrics, ShapeDatabase, ShapeId};
@@ -370,13 +369,10 @@ pub struct LatencyStats {
     /// Slowest sample, seconds.
     pub max_s: f64,
     /// Median latency, seconds.
-    #[serde(default)]
     pub p50_s: f64,
     /// 90th-percentile latency, seconds.
-    #[serde(default)]
     pub p90_s: f64,
     /// 99th-percentile latency, seconds.
-    #[serde(default)]
     pub p99_s: f64,
 }
 
@@ -467,17 +463,13 @@ pub struct StatsReport {
     pub server: ServerMetrics,
     /// Transport counters of the network front end.
     pub transport: TransportStats,
-    /// Per-stage latency summaries (empty from pre-obs servers, and
-    /// ignored by pre-obs clients).
-    #[serde(default)]
+    /// Per-stage latency summaries, one row for each stage timed so far.
     pub stages: Vec<StageStats>,
     /// Per-request-kind latency summaries, one row for each kind served
-    /// so far (empty from older servers, and ignored by older clients).
-    #[serde(default)]
+    /// so far.
     pub requests: Vec<RequestStats>,
-    /// Extraction-cache counters; `None` from servers running without
-    /// a cache (or predating one), so older reports still decode.
-    #[serde(default)]
+    /// Extraction-cache counters; `None` (JSON `null`) from a server
+    /// running without a cache.
     pub cache: Option<CacheStatsSnapshot>,
 }
 
@@ -492,11 +484,8 @@ pub struct StatsReport {
 pub struct TracesReport {
     /// The slow-over-this-threshold retention cutoff, microseconds —
     /// lets clients label "slow" consistently with the server.
-    #[serde(default)]
     pub slow_threshold_us: u64,
-    /// Retained traces, oldest first (empty from pre-trace servers,
-    /// and ignored by pre-trace clients).
-    #[serde(default)]
+    /// Retained traces, oldest first.
     pub traces: Vec<std::sync::Arc<RequestTrace>>,
 }
 
@@ -776,7 +765,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> Result<Option<Vec<u8>>,
             want: header.len(),
         });
     }
-    let len = (&header[..]).get_u32_le() as usize;
+    let len = u32::from_le_bytes(header) as usize;
     if len > max_len {
         return Err(WireError::FrameTooLarge { len, max: max_len });
     }
@@ -792,7 +781,6 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> Result<Option<Vec<u8>>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
 
     #[test]
     fn frame_roundtrip() {
@@ -876,8 +864,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_is_rejected_without_allocation() {
-        let mut buf: Vec<u8> = Vec::new();
-        buf.put_u32_le(u32::MAX);
+        let buf = u32::MAX.to_le_bytes();
         let mut cur: &[u8] = &buf;
         assert!(matches!(
             read_frame(&mut cur, 1024),
@@ -990,35 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_without_stages_still_decodes() {
-        // A pre-obs server's StatsReport has no `stages` key; the
-        // field must default to empty.
-        let report = StatsReport {
-            shapes: 3,
-            server: ServerMetrics::default(),
-            transport: TransportStats::default(),
-            stages: vec![StageStats {
-                stage: "voxelize".into(),
-                latency: LatencyStats::default(),
-            }],
-            requests: vec![RequestStats {
-                request: "Ping".into(),
-                latency: LatencyStats::default(),
-            }],
-            cache: Some(CacheStatsSnapshot::default()),
-        };
-        let mut value = report.to_value();
-        if let serde::Value::Obj(pairs) = &mut value {
-            pairs.retain(|(k, _)| k != "stages" && k != "requests" && k != "cache");
-        }
-        let back = StatsReport::from_value(&value).unwrap();
-        assert_eq!(back.shapes, 3);
-        assert!(back.stages.is_empty());
-        assert!(back.requests.is_empty());
-        assert!(back.cache.is_none(), "missing cache key defaults to None");
-    }
-
-    #[test]
     fn traces_report_round_trips_and_tolerates_missing_fields() {
         assert!(
             Request::Traces {
@@ -1046,10 +1004,5 @@ mod tests {
         let resp = Response::Traces(report);
         let back: Response = decode(&encode(&resp).unwrap()).unwrap();
         assert_eq!(back, resp);
-
-        // The report's JSON still defaults its missing fields.
-        let bare: TracesReport = decode_json(b"{}").unwrap();
-        assert!(bare.traces.is_empty());
-        assert_eq!(bare.slow_threshold_us, 0);
     }
 }

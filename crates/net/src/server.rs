@@ -30,8 +30,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use tdess_core::{DbError, MultiStepPlan, Query, QueryMode, SearchServer, Weights};
-use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
+use tdess_core::{check_vector, DbError, MultiStepPlan, Query, QueryMode, SearchServer, Weights};
+use tdess_features::{FeatureExtractor, FeatureKind};
 use tdess_obs::{event, Counter, FlightRecorder, Histogram, RecorderConfig, TraceGuard};
 
 use crate::proto::{
@@ -786,35 +786,6 @@ fn validate_query(extractor: &FeatureExtractor, query: &Query) -> Result<(), Err
     Ok(())
 }
 
-/// Checks a submitted feature set: every space's vector must match the
-/// extractor's dimension and contain only finite values.
-fn validate_features(
-    extractor: &FeatureExtractor,
-    features: &FeatureSet,
-) -> Result<(), ErrorReply> {
-    for kind in FeatureKind::ALL {
-        let dim = extractor.dim(kind);
-        let v = features.get(kind);
-        if v.len() != dim {
-            return Err(ErrorReply::new(
-                ErrorKind::Malformed,
-                // hotpath: allow(hot-alloc) — formats only on the rejected-request path
-                format!(
-                    "{kind:?} vector has {} values, server expects {dim}",
-                    v.len()
-                ),
-            ));
-        }
-        if !v.iter().all(|x| x.is_finite()) {
-            return Err(ErrorReply::new(
-                ErrorKind::Malformed,
-                format!("{kind:?} vector contains non-finite values"),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Checks a multi-step plan's shape (the core `assert!`s on it).
 fn validate_plan(plan: &MultiStepPlan) -> Result<(), ErrorReply> {
     if plan.steps.is_empty() {
@@ -841,8 +812,12 @@ fn dispatch(shared: &NetShared, req: Request) -> Response {
     let outcome = match req {
         Request::SearchFeatures { features, query } => {
             let snap = search.snapshot();
-            validate_features(snap.extractor(), &features)
-                .and_then(|()| validate_query(snap.extractor(), &query))
+            let extractor = snap.extractor();
+            FeatureKind::ALL
+                .into_iter()
+                .try_for_each(|kind| check_vector(kind, features.get(kind), extractor.dim(kind)))
+                .map_err(|reason| ErrorReply::new(ErrorKind::Malformed, reason))
+                .and_then(|()| validate_query(extractor, &query))
                 .map(|()| {
                     let hits = search.search_features_on(&snap, &features, &query);
                     Response::Hits(HitsReport::new(&snap, &hits))

@@ -8,7 +8,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use tdess_core::{MultiStepPlan, Query, SearchServer, ShapeDatabase};
+use tdess_core::{MultiStepPlan, Query, SearchServer, ShapeDatabase, Weights};
 use tdess_features::{FeatureExtractor, FeatureKind};
 use tdess_geom::{primitives, Vec3};
 use tdess_net::proto::{
@@ -322,6 +322,33 @@ fn requests_that_would_panic_the_core_get_typed_errors() {
     };
     let err = client.search_features(&features, &bad).unwrap_err();
     assert!(matches!(err, WireError::Remote(e) if e.kind == ErrorKind::Malformed));
+
+    // Submitted vectors and weights the core would index with or
+    // assert on: a vector one value short, a NaN, too few weights and
+    // a negative weight. Each is Malformed, and the connection stays
+    // good after each.
+    let mi = Query::top_k(FeatureKind::MomentInvariants, 3);
+    let weighted = |w: Vec<f64>| Query {
+        weights: Weights(Some(w)),
+        ..mi.clone()
+    };
+    let mut short = features.clone();
+    short.moment_invariants.pop();
+    let mut nan = features.clone();
+    nan.moment_invariants[1] = f64::NAN;
+    for (sent, query) in [
+        (&short, mi.clone()),
+        (&nan, mi.clone()),
+        (&features, weighted(vec![1.0, 1.0])),
+        (&features, weighted(vec![1.0, -1.0, 1.0])),
+    ] {
+        let err = client.search_features(sent, &query).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Remote(e) if e.kind == ErrorKind::Malformed),
+            "{err:?}"
+        );
+        client.ping().unwrap();
+    }
 
     // Unknown shape id: typed, not a panic, and the connection is
     // still good afterwards.

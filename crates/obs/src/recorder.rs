@@ -13,16 +13,15 @@
 //! 3. everything else is kept one-in-[`RecorderConfig::sample_one_in`]
 //!    as a background sample of normal behaviour.
 //!
-//! Retained traces overwrite the oldest ring slot, so memory stays
-//! bounded at `capacity` traces no matter the traffic. Slots are
-//! individual `RwLock`s around `Arc`s: writers touch exactly one slot,
-//! readers clone `Arc`s out without blocking writers on other slots,
-//! and nothing on the offer path allocates beyond the retained trace
-//! itself.
+//! A retained trace replaces the oldest one once the ring is full, so
+//! memory stays bounded at `capacity` traces no matter the traffic.
+//! The ring and its counters sit under one `Mutex`: an offer, made
+//! once per finished request, is a few field updates under it, and a
+//! snapshot clones `Arc`s out.
 
 use crate::span::RequestTrace;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Upper bound on the ring capacity (a trace can hold a few KiB of
@@ -73,33 +72,30 @@ pub struct RecorderStats {
 pub struct FlightRecorder {
     slow_us: u64,
     sample_one_in: u64,
-    slots: Vec<RwLock<Option<Arc<RequestTrace>>>>,
-    cursor: AtomicU64,
-    seen: AtomicU64,
-    kept_error: AtomicU64,
-    kept_slow: AtomicU64,
-    kept_sampled: AtomicU64,
-    skipped: AtomicU64,
+    capacity: usize,
+    ring: Mutex<Ring>,
+}
+
+/// What the recorder's lock guards: the retained traces in offer
+/// order, and the counters.
+#[derive(Debug)]
+struct Ring {
+    traces: VecDeque<Arc<RequestTrace>>,
+    stats: RecorderStats,
 }
 
 impl FlightRecorder {
     /// Builds a recorder with the given policy.
     pub fn new(cfg: RecorderConfig) -> FlightRecorder {
         let capacity = cfg.capacity.clamp(1, MAX_RECORDER_CAPACITY);
-        let mut slots = Vec::with_capacity(capacity.min(MAX_RECORDER_CAPACITY));
-        for _ in 0..capacity {
-            slots.push(RwLock::new(None));
-        }
         FlightRecorder {
             slow_us: cfg.slow.as_micros() as u64,
             sample_one_in: cfg.sample_one_in,
-            slots,
-            cursor: AtomicU64::new(0),
-            seen: AtomicU64::new(0),
-            kept_error: AtomicU64::new(0),
-            kept_slow: AtomicU64::new(0),
-            kept_sampled: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
+            capacity,
+            ring: Mutex::new(Ring {
+                traces: VecDeque::with_capacity(capacity),
+                stats: RecorderStats::default(),
+            }),
         }
     }
 
@@ -110,27 +106,31 @@ impl FlightRecorder {
 
     /// Offers a completed trace; applies the tail-sampling policy and,
     /// when the trace is retained, stamps [`RequestTrace::retained`]
-    /// and stores it over the oldest ring slot. Returns whether the
-    /// trace was kept.
+    /// and stores it in place of the oldest one once the ring is full.
+    /// Returns whether the trace was kept.
     pub fn offer(&self, mut t: RequestTrace) -> bool {
-        let n = self.seen.fetch_add(1, Ordering::AcqRel);
+        let mut ring = self.lock_ring();
+        let stats = &mut ring.stats;
+        let n = stats.seen;
+        stats.seen += 1;
         let reason = if t.error {
-            self.kept_error.fetch_add(1, Ordering::AcqRel);
+            stats.kept_error += 1;
             "error"
         } else if t.dur_us >= self.slow_us {
-            self.kept_slow.fetch_add(1, Ordering::AcqRel);
+            stats.kept_slow += 1;
             "slow"
         } else if self.sample_one_in <= 1 || n.wrapping_rem(self.sample_one_in) == 0 {
-            self.kept_sampled.fetch_add(1, Ordering::AcqRel);
+            stats.kept_sampled += 1;
             "sampled"
         } else {
-            self.skipped.fetch_add(1, Ordering::AcqRel);
+            stats.skipped += 1;
             return false;
         };
         t.retained = reason.into();
-        let ix = (self.cursor.fetch_add(1, Ordering::AcqRel) % self.slots.len() as u64) as usize;
-        let mut slot = self.slots[ix].write().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(Arc::new(t));
+        if ring.traces.len() == self.capacity {
+            ring.traces.pop_front();
+        }
+        ring.traces.push_back(Arc::new(t));
         true
     }
 
@@ -138,13 +138,10 @@ impl FlightRecorder {
     /// the `last` most recent; `slow_only` keeps only slow and error
     /// traces (the "interesting" retention classes).
     pub fn snapshot(&self, last: usize, slow_only: bool) -> Vec<Arc<RequestTrace>> {
-        let mut out = Vec::with_capacity(self.slots.len().min(MAX_RECORDER_CAPACITY));
-        for slot in &self.slots {
-            let g = slot.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(t) = g.as_ref() {
-                if !slow_only || t.is_interesting() {
-                    out.push(Arc::clone(t));
-                }
+        let mut out = Vec::with_capacity(self.capacity.min(MAX_RECORDER_CAPACITY));
+        for t in &self.lock_ring().traces {
+            if !slow_only || t.is_interesting() {
+                out.push(Arc::clone(t));
             }
         }
         out.sort_by_key(|t| (t.ts_unix_us, t.dur_us));
@@ -157,13 +154,13 @@ impl FlightRecorder {
 
     /// Current retention counters.
     pub fn stats(&self) -> RecorderStats {
-        RecorderStats {
-            seen: self.seen.load(Ordering::Acquire),
-            kept_error: self.kept_error.load(Ordering::Acquire),
-            kept_slow: self.kept_slow.load(Ordering::Acquire),
-            kept_sampled: self.kept_sampled.load(Ordering::Acquire),
-            skipped: self.skipped.load(Ordering::Acquire),
-        }
+        self.lock_ring().stats
+    }
+
+    /// Takes the recorder's one lock, the only place it is taken.
+    fn lock_ring(&self) -> MutexGuard<'_, Ring> {
+        // hotpath: allow(hot-block) — a few field updates or `Arc` clones per section, once per finished request or trace read
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 

@@ -341,7 +341,6 @@ pub struct SpanRecord {
     /// Span duration in microseconds.
     pub dur_us: u64,
     /// Annotations, in attach order.
-    #[serde(default)]
     pub tags: Vec<(String, String)>,
 }
 
@@ -359,14 +358,11 @@ pub struct RequestTrace {
     pub dur_us: u64,
     /// True when the request ended in an error reply (or was flagged
     /// via [`mark_error`]).
-    #[serde(default)]
     pub error: bool,
     /// Why the flight recorder kept this trace: `"slow"`, `"error"`,
     /// `"sampled"` — empty until it passes through the recorder.
-    #[serde(default)]
     pub retained: String,
     /// Spans dropped past [`MAX_SPANS_PER_TRACE`].
-    #[serde(default)]
     pub dropped_spans: u32,
     /// The span tree, in id order.
     pub spans: Vec<SpanRecord>,
