@@ -183,11 +183,6 @@ impl ShapeDatabase {
         }
     }
 
-    /// Creates a database with default extraction settings.
-    pub fn with_defaults() -> ShapeDatabase {
-        ShapeDatabase::new(FeatureExtractor::default())
-    }
-
     /// The extractor used by this database (queries must be extracted
     /// with compatible settings).
     pub fn extractor(&self) -> &FeatureExtractor {

@@ -18,6 +18,9 @@
 //!   fsync) saves; JSON for compat/debugging plus the [`snapshot`]
 //!   binary format (`TDSS`: versioned, sectioned, checksummed) for
 //!   10⁴–10⁵-shape databases, with format auto-detection on load;
+//! * **little-endian codec** ([`le`]) — the bounds-checked field
+//!   reader and writer under both binary formats, the `TDSS` snapshot
+//!   and the network tier's wire payloads;
 //! * **server tier** ([`server`]) — snapshot-isolated concurrent
 //!   search handle (reads never block writes and vice versa), batched
 //!   concurrent queries, query metrics, and parallel bulk indexing.
@@ -28,6 +31,7 @@
 pub mod browse;
 pub mod db;
 pub mod feedback;
+pub mod le;
 pub mod multistep;
 pub mod persist;
 pub mod server;

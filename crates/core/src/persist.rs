@@ -220,9 +220,9 @@ struct JsonDatabase {
 
 impl JsonDatabase {
     /// Checks what only the serde form can get wrong — a missing
-    /// `dmax` kind, and the extractor and vectors the `TDSS` decoder
-    /// checks while decoding — then assembles the database as a `TDSS`
-    /// load does.
+    /// `dmax` kind, and the extractor, meshes and vectors the `TDSS`
+    /// decoder checks while decoding — then assembles the database as a
+    /// `TDSS` load does.
     fn into_database(self) -> Result<ShapeDatabase, String> {
         check_extractor(&self.extractor)?;
         let mut dmax = [0.0; FeatureKind::ALL.len()];
@@ -234,6 +234,9 @@ impl JsonDatabase {
                 .ok_or_else(|| format!("missing dmax entry for {kind:?}"))?;
         }
         for s in &self.shapes {
+            s.mesh
+                .check_input()
+                .map_err(|defect| format!("shape {}: {defect}", s.id))?;
             for kind in FeatureKind::ALL {
                 check_vector(kind, s.features.get(kind), self.extractor.dim(kind))
                     .map_err(|reason| format!("shape {}: {reason}", s.id))?;

@@ -145,6 +145,7 @@ impl SearchServer {
     /// unaffected by (and invisible to) concurrent writers.
     pub fn snapshot(&self) -> Arc<ShapeDatabase> {
         // hotpath: allow(hot-alloc) — snapshot semantics require an owned copy
+        // hotpath: allow(hot-block) — the read lock is held for one `Arc` clone; writers hold it for one pointer swap
         self.inner.snapshot.read().clone()
     }
 
@@ -154,6 +155,7 @@ impl SearchServer {
     /// owned is freed.
     fn publish(&self, db: ShapeDatabase) {
         let next = Arc::new(db);
+        // hotpath: allow(hot-block) — one pointer swap under the writer mutex; the old snapshot drops after the lock is released
         let _previous = std::mem::replace(&mut *self.inner.snapshot.write(), next);
         self.inner.counters.snapshot_swaps.add(1);
     }

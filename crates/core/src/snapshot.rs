@@ -48,9 +48,11 @@
 //! # Trust model
 //!
 //! Decode treats the file as untrusted: every section is checksummed,
-//! every declared count is capped before an allocation is sized from
-//! it (same policy as the OFF loader in `tdess-geom`), and the decoded
-//! parts pass the same checks a JSON load applies (extractor config,
+//! every field is read through [`crate::le::Reader`] (no read past the
+//! section, every declared count checked against the bytes present
+//! before allocating, trailing bytes rejected), the declared counts
+//! are capped as well, and the decoded parts pass the same checks a
+//! JSON load applies (extractor config, mesh indices and coordinates,
 //! feature dimensions and finiteness, `dmax`, R-tree config via
 //! `RTreeConfig::validate`, strictly ascending ids) before a database
 //! is produced. The two formats differ only in which section an error
@@ -62,10 +64,11 @@ use std::sync::Arc;
 
 use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
 use tdess_geom::io::{MAX_MESH_FACES, MAX_MESH_VERTICES};
-use tdess_geom::{TriMesh, Vec3};
+use tdess_geom::TriMesh;
 use tdess_index::RTreeConfig;
 
 use crate::db::{ShapeDatabase, ShapeId, StoredShape};
+use crate::le::{LeError, Reader, Writer};
 use crate::persist::{corrupt, PersistError};
 
 /// First four bytes of every binary snapshot.
@@ -73,9 +76,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TDSS";
 /// Newest format version this build reads and the one it writes.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-const SECTION_META: [u8; 4] = *b"META";
-const SECTION_SHPS: [u8; 4] = *b"SHPS";
-const SECTION_FEAT: [u8; 4] = *b"FEAT";
+const SECTION_META: &str = "META";
+const SECTION_SHPS: &str = "SHPS";
+const SECTION_FEAT: &str = "FEAT";
+/// Sections in a version 1 snapshot.
+const SECTION_COUNT: u32 = 3;
 
 /// Cap on a declared section length. A hostile header cannot demand
 /// more than this; real sections are far smaller (the feature block of
@@ -224,18 +229,6 @@ impl StreamSum {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Path used in errors from the writer/reader-level entry points,
 /// where no file is involved.
 pub(crate) const STREAM: &str = "<stream>";
@@ -249,11 +242,11 @@ pub fn save_binary<W: Write>(db: &ShapeDatabase, mut w: W) -> Result<(), Persist
     let shapes = db.shapes();
     let extractor = db.extractor();
     let config = db.index_config();
+    let stream = |section, reason: String| corrupt(Path::new(STREAM), section, reason);
 
     if shapes.len() > MAX_SNAPSHOT_SHAPES {
-        return Err(corrupt(
-            Path::new(STREAM),
-            "META",
+        return Err(stream(
+            SECTION_META,
             format!(
                 "database holds {} shapes, format cap is {MAX_SNAPSHOT_SHAPES}",
                 shapes.len()
@@ -261,169 +254,68 @@ pub fn save_binary<W: Write>(db: &ShapeDatabase, mut w: W) -> Result<(), Persist
         ));
     }
 
-    let mut meta = Vec::new();
-    put_u32(&mut meta, extractor.voxel_resolution as u32);
-    put_u32(&mut meta, extractor.spectrum_dim as u32);
-    put_u64(&mut meta, db.next_id());
-    put_u64(&mut meta, shapes.len() as u64);
-    put_u32(&mut meta, config.max_entries as u32);
-    put_u32(&mut meta, config.min_entries as u32);
-    put_u32(&mut meta, FeatureKind::ALL.len() as u32);
+    let mut meta = Writer::new();
+    meta.put_u32(extractor.voxel_resolution as u32);
+    meta.put_u32(extractor.spectrum_dim as u32);
+    meta.put_u64(db.next_id());
+    meta.put_u64(shapes.len() as u64);
+    meta.put_u32(config.max_entries as u32);
+    meta.put_u32(config.min_entries as u32);
+    meta.put_u32(FeatureKind::ALL.len() as u32);
     for kind in FeatureKind::ALL {
-        put_u32(&mut meta, extractor.dim(kind) as u32);
-        put_f64(&mut meta, db.dmax(kind));
+        meta.put_u32(extractor.dim(kind) as u32);
+        meta.put_f64(db.dmax(kind));
     }
 
-    let mut shps = Vec::new();
+    let mut shps = Writer::new();
     for s in shapes {
         if s.name.len() > MAX_NAME_BYTES {
-            return Err(corrupt(
-                Path::new(STREAM),
-                "SHPS",
+            return Err(stream(
+                SECTION_SHPS,
                 format!("shape {} name exceeds {MAX_NAME_BYTES} bytes", s.id),
             ));
         }
         if s.mesh.vertices.len() > MAX_MESH_VERTICES || s.mesh.triangles.len() > MAX_MESH_FACES {
-            return Err(corrupt(
-                Path::new(STREAM),
-                "SHPS",
+            return Err(stream(
+                SECTION_SHPS,
                 format!("shape {} mesh exceeds format caps", s.id),
             ));
         }
-        put_u64(&mut shps, s.id);
-        put_u32(&mut shps, s.name.len() as u32);
-        shps.extend_from_slice(s.name.as_bytes());
-        put_u32(&mut shps, s.mesh.vertices.len() as u32);
-        put_u32(&mut shps, s.mesh.triangles.len() as u32);
-        for v in &s.mesh.vertices {
-            put_f64(&mut shps, v.x);
-            put_f64(&mut shps, v.y);
-            put_f64(&mut shps, v.z);
-        }
-        for t in &s.mesh.triangles {
-            put_u32(&mut shps, t[0]);
-            put_u32(&mut shps, t[1]);
-            put_u32(&mut shps, t[2]);
-        }
+        shps.put_u64(s.id);
+        shps.put_str(&s.name);
+        shps.put_count(s.mesh.vertices.len());
+        shps.put_count(s.mesh.triangles.len());
+        shps.put_vertices(&s.mesh.vertices);
+        shps.put_triangles(&s.mesh.triangles);
     }
 
-    let mut feat = Vec::new();
+    let mut feat = Writer::new();
     for kind in FeatureKind::ALL {
         for s in shapes {
-            for &x in s.features.get(kind) {
-                put_f64(&mut feat, x);
-            }
+            feat.put_f64s(s.features.get(kind));
         }
     }
 
-    w.write_all(&SNAPSHOT_MAGIC)?;
-    w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-    w.write_all(&3u32.to_le_bytes())?;
-    for (tag, payload) in [
-        (SECTION_META, &meta),
-        (SECTION_SHPS, &shps),
-        (SECTION_FEAT, &feat),
+    let bytes = |body: Writer, section| body.into_bytes().map_err(|e| stream(section, e.into()));
+    let mut file = Writer::new();
+    file.put_bytes(&SNAPSHOT_MAGIC);
+    file.put_u32(SNAPSHOT_VERSION);
+    file.put_u32(SECTION_COUNT);
+    w.write_all(&bytes(file, "header")?)?;
+    for (section, body) in [
+        (SECTION_META, meta),
+        (SECTION_SHPS, shps),
+        (SECTION_FEAT, feat),
     ] {
-        w.write_all(&tag)?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(&checksum64(payload).to_le_bytes())?;
-        w.write_all(payload)?;
+        let payload = bytes(body, section)?;
+        let mut head = Writer::new();
+        head.put_bytes(section.as_bytes());
+        head.put_u64(payload.len() as u64);
+        head.put_u64(checksum64(&payload));
+        w.write_all(&bytes(head, section)?)?;
+        w.write_all(&payload)?;
     }
     Ok(())
-}
-
-/// Bounds-checked little-endian reader over one section's payload.
-/// Every read that would run past the end is a typed corruption error
-/// naming the section and path.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-    path: &'a Path,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8], section: &'static str, path: &'a Path) -> Cur<'a> {
-        Cur {
-            buf,
-            pos: 0,
-            section,
-            path,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(corrupt(
-                self.path,
-                self.section,
-                // hotpath: allow(hot-alloc) — error path: formats once, then the load aborts
-                format!(
-                    "section truncated: needed {n} bytes at offset {}, payload is {} bytes",
-                    self.pos,
-                    self.buf.len()
-                ),
-            )),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Decodes `count` consecutive little-endian f64s in one bounds
-    /// check. The allocation is bounded by `take` (the bytes must
-    /// already be inside the section payload), not by the declared
-    /// count alone.
-    fn f64_vec(&mut self, count: usize) -> Result<Vec<f64>, PersistError> {
-        let n = count.checked_mul(8).ok_or_else(|| {
-            corrupt(
-                self.path,
-                self.section,
-                format!("element count {count} overflows"),
-            )
-        })?;
-        let bytes = self.take(n)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
-    }
-
-    /// Rejects trailing bytes — a length that disagrees with the
-    /// content is corruption even when the checksum matches.
-    fn done(&self) -> Result<(), PersistError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt(
-                self.path,
-                self.section,
-                format!(
-                    "{} unexpected trailing bytes after section content",
-                    self.buf.len() - self.pos
-                ),
-            ))
-        }
-    }
 }
 
 /// Everything the `META` section declares.
@@ -474,57 +366,47 @@ pub fn check_vector(kind: FeatureKind, v: &[f64], dim: usize) -> Result<(), Stri
     Ok(())
 }
 
-fn decode_meta(payload: &[u8], path: &Path) -> Result<Meta, PersistError> {
-    let mut cur = Cur::new(payload, "META", path);
-    let voxel_resolution = cur.u32()? as usize;
-    let spectrum_dim = cur.u32()? as usize;
-    let next_id = cur.u64()?;
-    let shape_count_raw = cur.u64()?;
-    let max_entries = cur.u32()? as usize;
-    let min_entries = cur.u32()? as usize;
-    let kind_count = cur.u32()? as usize;
+fn decode_meta(payload: &[u8]) -> Result<Meta, String> {
+    let mut r = Reader::new(payload);
+    let voxel_resolution = r.get_u32()? as usize;
+    let spectrum_dim = r.get_u32()? as usize;
+    let next_id = r.get_u64()?;
+    let shape_count_raw = r.get_u64()?;
+    let max_entries = r.get_u32()? as usize;
+    let min_entries = r.get_u32()? as usize;
+    let kind_count = r.get_u32()? as usize;
 
     let shape_count = usize::try_from(shape_count_raw).unwrap_or(usize::MAX);
     if shape_count > MAX_SNAPSHOT_SHAPES {
-        return Err(corrupt(
-            path,
-            "META",
-            format!("declared shape count {shape_count_raw} exceeds cap {MAX_SNAPSHOT_SHAPES}"),
+        return Err(format!(
+            "declared shape count {shape_count_raw} exceeds cap {MAX_SNAPSHOT_SHAPES}"
         ));
     }
     let extractor = FeatureExtractor {
         voxel_resolution,
         spectrum_dim,
     };
-    check_extractor(&extractor).map_err(|reason| corrupt(path, "META", reason))?;
+    check_extractor(&extractor)?;
     if kind_count != FeatureKind::ALL.len() {
-        return Err(corrupt(
-            path,
-            "META",
-            format!(
-                "declared {kind_count} feature kinds, this build knows {}",
-                FeatureKind::ALL.len()
-            ),
+        return Err(format!(
+            "declared {kind_count} feature kinds, this build knows {}",
+            FeatureKind::ALL.len()
         ));
     }
     let mut dims = Vec::with_capacity(FeatureKind::ALL.len());
     let mut dmax = [0.0; FeatureKind::ALL.len()];
     for kind in FeatureKind::ALL {
-        let dim = cur.u32()? as usize;
+        let dim = r.get_u32()? as usize;
         if dim != extractor.dim(kind) {
-            return Err(corrupt(
-                path,
-                "META",
-                format!(
-                    "declared dimension {dim} for {kind:?}, extractor config implies {}",
-                    extractor.dim(kind)
-                ),
+            return Err(format!(
+                "declared dimension {dim} for {kind:?}, extractor config implies {}",
+                extractor.dim(kind)
             ));
         }
         dims.push(dim);
-        dmax[kind as usize] = cur.f64()?;
+        dmax[kind as usize] = r.get_f64()?;
     }
-    cur.done()?;
+    r.expect_end()?;
     Ok(Meta {
         extractor,
         next_id,
@@ -550,91 +432,65 @@ fn empty_feature_set() -> FeatureSet {
     }
 }
 
-fn decode_shapes(
-    payload: &[u8],
-    shape_count: usize,
-    path: &Path,
-) -> Result<Vec<Arc<StoredShape>>, PersistError> {
-    let mut cur = Cur::new(payload, "SHPS", path);
+fn decode_shapes(payload: &[u8], shape_count: usize) -> Result<Vec<Arc<StoredShape>>, String> {
+    let mut r = Reader::new(payload);
     // shape_count was capped against MAX_SNAPSHOT_SHAPES in META, and
     // is re-bounded here where the allocation it sizes lives.
     if shape_count > MAX_SNAPSHOT_SHAPES {
-        return Err(corrupt(
-            path,
-            "SHPS",
-            format!("shape count {shape_count} exceeds cap {MAX_SNAPSHOT_SHAPES}"),
+        return Err(format!(
+            "shape count {shape_count} exceeds cap {MAX_SNAPSHOT_SHAPES}"
         ));
     }
     let mut shapes = Vec::with_capacity(shape_count.min(MAX_SNAPSHOT_SHAPES));
     for _ in 0..shape_count {
-        let id = cur.u64()?;
-        let name_len = cur.u32()? as usize;
-        if name_len > MAX_NAME_BYTES {
-            return Err(corrupt(
-                path,
-                "SHPS",
-                format!("declared name length {name_len} exceeds cap {MAX_NAME_BYTES}"),
+        let id = r.get_u64()?;
+        let name = r.get_str()?;
+        if name.len() > MAX_NAME_BYTES {
+            return Err(format!(
+                "declared name length {} exceeds cap {MAX_NAME_BYTES}",
+                name.len()
             ));
         }
-        let name = String::from_utf8(cur.take(name_len)?.to_vec())
-            .map_err(|_| corrupt(path, "SHPS", format!("shape {id} name is not valid UTF-8")))?;
-        let nv = cur.u32()? as usize;
-        let nt = cur.u32()? as usize;
+        let nv = r.get_count(24)?;
+        let nt = r.get_count(12)?;
         if nv > MAX_MESH_VERTICES {
-            return Err(corrupt(
-                path,
-                "SHPS",
-                format!("declared vertex count {nv} exceeds cap {MAX_MESH_VERTICES}"),
+            return Err(format!(
+                "declared vertex count {nv} exceeds cap {MAX_MESH_VERTICES}"
             ));
         }
         if nt > MAX_MESH_FACES {
-            return Err(corrupt(
-                path,
-                "SHPS",
-                format!("declared triangle count {nt} exceeds cap {MAX_MESH_FACES}"),
+            return Err(format!(
+                "declared triangle count {nt} exceeds cap {MAX_MESH_FACES}"
             ));
         }
-        let mut vertices = Vec::with_capacity(nv.min(MAX_MESH_VERTICES));
-        for _ in 0..nv {
-            vertices.push(Vec3::new(cur.f64()?, cur.f64()?, cur.f64()?));
-        }
-        let mut triangles = Vec::with_capacity(nt.min(MAX_MESH_FACES));
-        for _ in 0..nt {
-            let t = [cur.u32()?, cur.u32()?, cur.u32()?];
-            if t.iter().any(|&i| i as usize >= nv) {
-                return Err(corrupt(
-                    path,
-                    "SHPS",
-                    format!("shape {id} triangle references vertex out of range"),
-                ));
-            }
-            triangles.push(t);
-        }
+        let mesh = TriMesh {
+            vertices: r.get_vertices(nv)?,
+            triangles: r.get_triangles(nt)?,
+        };
+        mesh.check_input()
+            .map_err(|defect| format!("shape {id}: {defect}"))?;
         shapes.push(Arc::new(StoredShape {
             id,
-            name,
-            mesh: TriMesh {
-                vertices,
-                triangles,
-            },
+            name: name.to_string(),
+            mesh,
             features: empty_feature_set(),
         }));
     }
-    cur.done()?;
+    r.expect_end()?;
     Ok(shapes)
 }
 
-/// Fills `shapes[i].features` from the fixed-stride `FEAT` arrays. The
-/// shapes are the unshared records [`decode_shapes`] just allocated,
-/// filled in place so no second copy of them is ever built.
+/// Fills `shapes[i].features` from the fixed-stride `FEAT` arrays and
+/// verifies the section's checksum. The shapes are the unshared records
+/// [`decode_shapes`] just allocated, filled in place so no second copy
+/// of them is ever built.
 fn decode_features(
     payload: &[u8],
     declared_sum: u64,
     shapes: &mut [Arc<StoredShape>],
     dims: &[usize],
-    path: &Path,
-) -> Result<(), PersistError> {
-    let mut cur = Cur::new(payload, "FEAT", path);
+) -> Result<(), String> {
+    let mut r = Reader::new(payload);
     // The checksum is folded in one kind-block ahead of the vector
     // decode below, so this multi-megabyte section is streamed
     // through memory once, not twice, and the block being decoded is
@@ -644,24 +500,22 @@ fn decode_features(
     let mut sum = StreamSum::new();
     for (kind, &dim) in FeatureKind::ALL.into_iter().zip(dims) {
         if dim > MAX_FEATURE_DIM {
-            return Err(corrupt(
-                path,
-                "FEAT",
-                format!("dimension {dim} for {kind:?} exceeds cap {MAX_FEATURE_DIM}"),
+            return Err(format!(
+                "dimension {dim} for {kind:?} exceeds cap {MAX_FEATURE_DIM}"
             ));
         }
+        let block = r.get_unread();
         let block_len = shapes.len().saturating_mul(dim).saturating_mul(8);
-        let block_end = cur.pos.saturating_add(block_len).min(payload.len());
-        sum.absorb(&payload[cur.pos..block_end]);
+        sum.absorb(&block[..block_len.min(block.len())]);
         for shape in shapes.iter_mut() {
             let Some(shape) = Arc::get_mut(shape) else {
-                return Err(corrupt(path, "FEAT", "shape record shared during decode"));
+                return Err("shape record shared during decode".to_string());
             };
-            let v = cur.f64_vec(dim)?;
+            let v = r.get_f64s(dim)?;
             // Checked here, while the freshly decoded values are
             // cache-hot, instead of in a second pass over every vector.
             check_vector(kind, &v, dim)
-                .map_err(|reason| corrupt(path, "FEAT", format!("shape {}: {reason}", shape.id)))?;
+                .map_err(|reason| format!("shape {}: {reason}", shape.id))?;
             match kind {
                 FeatureKind::MomentInvariants => shape.features.moment_invariants = v,
                 FeatureKind::GeometricParams => shape.features.geometric = v,
@@ -673,97 +527,49 @@ fn decode_features(
             }
         }
     }
-    cur.done()?;
-    check_sum(sum.finish(), declared_sum, "FEAT", path)
+    r.expect_end()?;
+    sum_matches(sum.finish(), declared_sum)
 }
 
-/// Borrows one section's payload out of the whole-file buffer,
-/// verifying tag, length cap, and bounds — but not the checksum,
-/// which is returned for the caller to verify. `off` advances past
-/// the section.
-fn take_section_raw<'a>(
-    buf: &'a [u8],
-    off: &mut usize,
-    expect_tag: [u8; 4],
-    section: &'static str,
-    path: &Path,
-) -> Result<(&'a [u8], u64), PersistError> {
-    let Some(head) = buf.get(*off..*off + 20) else {
-        return Err(corrupt(
-            path,
-            section,
-            "file ends inside the section header",
-        ));
-    };
-    *off += 20;
-    let tag = [head[0], head[1], head[2], head[3]];
-    if tag != expect_tag {
-        return Err(corrupt(
-            path,
-            section,
-            format!(
-                "expected section tag {:?}, found {:?}",
-                String::from_utf8_lossy(&expect_tag),
-                String::from_utf8_lossy(&tag)
-            ),
-        ));
-    }
-    let len = u64::from_le_bytes([
-        head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-    ]);
-    let declared_sum = u64::from_le_bytes([
-        head[12], head[13], head[14], head[15], head[16], head[17], head[18], head[19],
-    ]);
-    if len > MAX_SECTION_BYTES {
-        return Err(corrupt(
-            path,
-            section,
-            format!("declared length {len} exceeds cap {MAX_SECTION_BYTES}"),
-        ));
-    }
-    let remaining = (buf.len() - *off) as u64;
-    if len > remaining {
-        return Err(corrupt(
-            path,
-            section,
-            format!("section truncated: declared {len} bytes, file holds {remaining}"),
-        ));
-    }
-    let payload = &buf[*off..*off + len as usize];
-    *off += len as usize;
-    Ok((payload, declared_sum))
-}
-
-/// [`take_section_raw`] plus an eager checksum verification pass.
-/// Used for the small sections; the FEAT decoder verifies its (much
-/// larger) payload in the same pass that parses it.
-fn take_section<'a>(
-    buf: &'a [u8],
-    off: &mut usize,
-    expect_tag: [u8; 4],
-    section: &'static str,
-    path: &Path,
-) -> Result<&'a [u8], PersistError> {
-    let (payload, declared_sum) = take_section_raw(buf, off, expect_tag, section, path)?;
-    check_sum(checksum64(payload), declared_sum, section, path)?;
-    Ok(payload)
-}
-
-/// Compares an actual section checksum against the header's claim.
-fn check_sum(
-    actual: u64,
-    declared: u64,
-    section: &'static str,
-    path: &Path,
-) -> Result<(), PersistError> {
+/// Compares a section's checksum with its header's claim.
+fn sum_matches(actual: u64, declared: u64) -> Result<(), String> {
     if actual != declared {
-        return Err(corrupt(
-            path,
-            section,
-            format!("checksum mismatch: header says {declared:#018x}, payload is {actual:#018x}"),
+        return Err(format!(
+            "checksum mismatch: header says {declared:#018x}, payload is {actual:#018x}"
         ));
     }
     Ok(())
+}
+
+/// Reads the next section's header (tag, length under its cap,
+/// checksum), borrows its payload out of the file, and hands both to
+/// `decode`. Every failure, `decode`'s included, is `Corrupt` naming
+/// the section.
+fn read_section<'a, T>(
+    file: &mut Reader<'a>,
+    section: &'static str,
+    path: &Path,
+    decode: impl FnOnce(&'a [u8], u64) -> Result<T, String>,
+) -> Result<T, PersistError> {
+    let framed = || {
+        let tag: [u8; 4] = file.get_array()?;
+        if tag != section.as_bytes() {
+            return Err(format!(
+                "expected section tag {section:?}, found {:?}",
+                String::from_utf8_lossy(&tag)
+            ));
+        }
+        let len = file.get_u64()?;
+        let declared_sum = file.get_u64()?;
+        if len > MAX_SECTION_BYTES {
+            return Err(format!(
+                "declared length {len} exceeds cap {MAX_SECTION_BYTES}"
+            ));
+        }
+        let payload = file.get_bytes(usize::try_from(len).unwrap_or(usize::MAX))?;
+        decode(payload, declared_sum)
+    };
+    framed().map_err(|reason| corrupt(path, section, reason))
 }
 
 /// Decodes a binary snapshot from a reader. `path` is used only in
@@ -782,21 +588,18 @@ pub fn load_binary<R: Read>(mut r: R, path: &Path) -> Result<ShapeDatabase, Pers
 
 /// Decodes a binary snapshot already sitting in memory.
 pub fn load_binary_bytes(buf: &[u8], path: &Path) -> Result<ShapeDatabase, PersistError> {
-    let Some(head) = buf.get(..12) else {
-        return Err(corrupt(
-            path,
-            "header",
-            "file ends inside the snapshot header",
-        ));
+    let mut file = Reader::new(buf);
+    let header = |file: &mut Reader<'_>| -> Result<_, LeError> {
+        Ok((file.get_array::<4>()?, file.get_u32()?, file.get_u32()?))
     };
-    let magic = [head[0], head[1], head[2], head[3]];
+    let (magic, version, section_count) =
+        header(&mut file).map_err(|e| corrupt(path, "header", e))?;
     if magic != SNAPSHOT_MAGIC {
         return Err(PersistError::BadMagic {
             path: path.to_path_buf(),
             found: magic,
         });
     }
-    let version = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
     if version != SNAPSHOT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             path: path.to_path_buf(),
@@ -804,8 +607,7 @@ pub fn load_binary_bytes(buf: &[u8], path: &Path) -> Result<ShapeDatabase, Persi
             supported: SNAPSHOT_VERSION,
         });
     }
-    let section_count = u32::from_le_bytes([head[8], head[9], head[10], head[11]]);
-    if section_count != 3 {
+    if section_count != SECTION_COUNT {
         return Err(corrupt(
             path,
             "header",
@@ -813,28 +615,21 @@ pub fn load_binary_bytes(buf: &[u8], path: &Path) -> Result<ShapeDatabase, Persi
         ));
     }
 
-    let mut off = 12;
-    let meta_payload = take_section(buf, &mut off, SECTION_META, "META", path)?;
-    let meta = decode_meta(meta_payload, path)?;
-
-    let shps_payload = take_section(buf, &mut off, SECTION_SHPS, "SHPS", path)?;
-    let mut shapes = decode_shapes(shps_payload, meta.shape_count, path)?;
-
-    let (feat_payload, feat_sum) = take_section_raw(buf, &mut off, SECTION_FEAT, "FEAT", path)?;
-    decode_features(feat_payload, feat_sum, &mut shapes, &meta.dims, path)?;
+    let meta = read_section(&mut file, SECTION_META, path, |payload, declared| {
+        sum_matches(checksum64(payload), declared)?;
+        decode_meta(payload)
+    })?;
+    let mut shapes = read_section(&mut file, SECTION_SHPS, path, |payload, declared| {
+        sum_matches(checksum64(payload), declared)?;
+        decode_shapes(payload, meta.shape_count)
+    })?;
+    // FEAT verifies its (much larger) payload in the pass that parses it.
+    read_section(&mut file, SECTION_FEAT, path, |payload, declared| {
+        decode_features(payload, declared, &mut shapes, &meta.dims)
+    })?;
 
     ShapeDatabase::from_loaded_parts(meta.extractor, meta.next_id, shapes, meta.dmax, meta.config)
         .map_err(|reason| corrupt(path, "database", reason))
-}
-
-/// Loads a binary snapshot from a file path.
-pub fn load_binary_from_path(path: &Path) -> Result<ShapeDatabase, PersistError> {
-    let file = std::fs::File::open(path).map_err(|source| PersistError::File {
-        op: crate::persist::FileOp::Open,
-        path: path.to_path_buf(),
-        source,
-    })?;
-    load_binary(std::io::BufReader::new(file), path)
 }
 
 #[cfg(test)]

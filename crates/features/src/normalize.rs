@@ -12,7 +12,7 @@
 //!    in each positive half-space to dominate.
 
 use serde::{Deserialize, Serialize};
-use tdess_geom::{mesh_moments, sym3_eigen, Mat3, TriMesh, Vec3};
+use tdess_geom::{mesh_moments, sym3_eigen, Mat3, Moments, TriMesh, Vec3};
 
 /// Result of normalizing a model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -39,19 +39,41 @@ pub enum NormalizeError {
     /// The mesh has (numerically) zero volume, so scale normalization
     /// is impossible.
     ZeroVolume,
+    /// A volume moment of the mesh is NaN or infinite: a non-finite
+    /// coordinate, or one so large its moments overflow.
+    NonFiniteMoments,
 }
 
 impl std::fmt::Display for NormalizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NormalizeError::ZeroVolume => write!(f, "mesh volume is zero; cannot normalize scale"),
+            NormalizeError::NonFiniteMoments => {
+                write!(f, "mesh moments are not finite; cannot normalize")
+            }
         }
     }
 }
 
 impl std::error::Error for NormalizeError {}
 
+/// Every moment finite, or [`NormalizeError::NonFiniteMoments`].
+fn finite(m: Moments) -> Result<Moments, NormalizeError> {
+    let all = [
+        m.m000, m.m100, m.m010, m.m001, m.m200, m.m020, m.m002, m.m110, m.m101, m.m011,
+    ];
+    if all.iter().all(|v| v.is_finite()) {
+        Ok(m)
+    } else {
+        Err(NormalizeError::NonFiniteMoments)
+    }
+}
+
 /// Normalizes a mesh to canonical pose per §3.1.
+///
+/// Fails unless the volume exceeds 1e-12 and every moment computed on
+/// the way is finite, so no caller (the moment invariants read the
+/// same raw moments) meets a NaN or an overflow.
 ///
 /// ```
 /// use tdess_features::normalize;
@@ -67,7 +89,7 @@ impl std::error::Error for NormalizeError {}
 /// ```
 pub fn normalize(mesh: &TriMesh) -> Result<NormalizedModel, NormalizeError> {
     let _stage = tdess_obs::StageTimer::start(tdess_obs::Stage::Normalize);
-    let m = mesh_moments(mesh);
+    let m = finite(mesh_moments(mesh))?;
     if m.m000 <= 1e-12 {
         return Err(NormalizeError::ZeroVolume);
     }
@@ -84,7 +106,7 @@ pub fn normalize(mesh: &TriMesh) -> Result<NormalizedModel, NormalizeError> {
 
     // 3. Rotate so the second-moment matrix is diagonal with
     //    µxx ≥ µyy ≥ µzz (Eq. 3.4 plus the ordering constraint).
-    let mu = mesh_moments(&out); // central by construction
+    let mu = finite(mesh_moments(&out))?; // central by construction
     let eig = sym3_eigen(&mu.second_moment_matrix());
     // Columns of eig.vectors are the principal axes (descending
     // eigenvalue); mapping x' = Vᵀ x sends axis i to coordinate i.

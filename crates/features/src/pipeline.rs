@@ -294,6 +294,27 @@ mod tests {
     use super::*;
     use tdess_geom::{primitives, Mat3, Vec3};
 
+    /// Boxes too large for finite moments, and a NaN vertex, are
+    /// typed errors: none panics, none yields non-finite features.
+    #[test]
+    fn extreme_meshes_are_typed_errors() {
+        let ex = FeatureExtractor {
+            voxel_resolution: 8,
+            ..Default::default()
+        };
+        for scale in [1e70, 1e80, 1e300] {
+            let mut mesh = primitives::box_mesh(Vec3::new(2.0, 1.0, 0.5));
+            mesh.scale_uniform(scale);
+            assert!(ex.extract(&mesh).is_err(), "box scaled by {scale:e}");
+        }
+        let mut nan = primitives::box_mesh(Vec3::ONE);
+        nan.vertices[3].y = f64::NAN;
+        assert_eq!(
+            ex.extract(&nan).err(),
+            Some(NormalizeError::NonFiniteMoments)
+        );
+    }
+
     #[test]
     fn extractor_produces_all_vectors_with_correct_dims() {
         let ex = FeatureExtractor::default();

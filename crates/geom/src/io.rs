@@ -44,6 +44,12 @@ fn parse_err(msg: impl Into<String>) -> IoError {
     IoError::Parse(msg.into())
 }
 
+/// Passes a decoded mesh through [`TriMesh::check_input`].
+fn checked(mesh: TriMesh) -> Result<TriMesh, IoError> {
+    mesh.check_input().map_err(|d| parse_err(d.to_string()))?;
+    Ok(mesh)
+}
+
 /// Caps on counts declared in mesh-file headers. A few header bytes
 /// can otherwise declare billions of elements and force a gigabyte
 /// allocation before a single payload byte is read. 2^24 vertices
@@ -111,11 +117,11 @@ pub fn read_stl<R: Read>(r: &mut R, weld_eps: f64) -> Result<TriMesh, IoError> {
         std::str::from_utf8(&data[..data.len().min(4096)])
             .map(|s| s.contains("facet"))
             .unwrap_or(false);
-    let mut mesh = if is_ascii {
+    let mut mesh = checked(if is_ascii {
         read_stl_ascii_bytes(&data)?
     } else {
         read_stl_binary_bytes(&data)?
-    };
+    })?;
     mesh.weld(weld_eps);
     Ok(mesh)
 }
@@ -281,7 +287,7 @@ pub fn read_off<R: Read>(r: &mut R) -> Result<TriMesh, IoError> {
             triangles.push([idx[0], idx[j], idx[j + 1]]);
         }
     }
-    Ok(TriMesh::new(vertices, triangles))
+    checked(TriMesh::new(vertices, triangles))
 }
 
 // ---------------------------------------------------------------------
@@ -364,7 +370,7 @@ pub fn read_obj<R: Read>(r: &mut R) -> Result<TriMesh, IoError> {
             _ => {} // ignore vn, vt, g, o, usemtl, s, mtllib, ...
         }
     }
-    Ok(TriMesh::new(vertices, triangles))
+    checked(TriMesh::new(vertices, triangles))
 }
 
 // ---------------------------------------------------------------------

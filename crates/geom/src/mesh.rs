@@ -24,7 +24,8 @@ pub struct TriMesh {
     pub triangles: Vec<[u32; 3]>,
 }
 
-/// Problems detected by [`TriMesh::validate`].
+/// Problems detected by [`TriMesh::validate`] and
+/// [`TriMesh::check_input`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MeshDefect {
     /// A triangle refers to a vertex index that does not exist.
@@ -55,6 +56,11 @@ pub enum MeshDefect {
         /// Edge end in the repeated direction.
         b: u32,
     },
+    /// A vertex has a NaN or infinite coordinate.
+    NonFiniteVertex {
+        /// Index of the offending vertex.
+        vertex: usize,
+    },
 }
 
 impl std::fmt::Display for MeshDefect {
@@ -74,6 +80,9 @@ impl std::fmt::Display for MeshDefect {
             }
             MeshDefect::InconsistentOrientation { a, b } => {
                 write!(f, "edge ({a},{b}) is traversed twice in the same direction")
+            }
+            MeshDefect::NonFiniteVertex { vertex } => {
+                write!(f, "vertex {vertex} has a non-finite coordinate")
             }
         }
     }
@@ -241,8 +250,29 @@ impl TriMesh {
             MeshDefect::DegenerateTriangle { triangle } => (1, *triangle as u32, 0),
             MeshDefect::NonManifoldEdge { a, b, .. } => (2, *a, *b),
             MeshDefect::InconsistentOrientation { a, b } => (3, *a, *b),
+            MeshDefect::NonFiniteVertex { vertex } => (4, *vertex as u32, 0),
         });
         defects
+    }
+
+    /// The cheap check every reader of an outside mesh applies: each
+    /// triangle index names an existing vertex and every coordinate is
+    /// finite, so nothing downstream indexes out of range or integrates
+    /// a NaN. Unlike [`TriMesh::validate`] it builds no maps and says
+    /// nothing about manifoldness. Returns the first defect found.
+    pub fn check_input(&self) -> Result<(), MeshDefect> {
+        let nv = self.vertices.len();
+        if let Some(triangle) = self
+            .triangles
+            .iter()
+            .position(|t| t.iter().any(|&i| i as usize >= nv))
+        {
+            return Err(MeshDefect::IndexOutOfBounds { triangle });
+        }
+        match self.vertices.iter().position(|v| !v.is_finite()) {
+            Some(vertex) => Err(MeshDefect::NonFiniteVertex { vertex }),
+            None => Ok(()),
+        }
     }
 
     /// Convenience: `true` if [`TriMesh::validate`] finds no defects.

@@ -1,10 +1,10 @@
 //! # tdess-index — multidimensional access methods for 3DESS
 //!
 //! Implements §2.3 of the paper: an R-tree index over feature-space
-//! points (Guttman quadratic split; range, similarity-ball, and
-//! best-first kNN queries with MINDIST pruning) plus a linear-scan
-//! baseline, both instrumented with node-access counters for the
-//! index-efficiency experiment.
+//! points (Guttman quadratic split; the paper's two query types,
+//! similarity-ball and best-first kNN with MINDIST pruning) plus a
+//! linear-scan baseline, both instrumented with node-access counters
+//! for the index-efficiency experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

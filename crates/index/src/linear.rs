@@ -1,6 +1,5 @@
 //! Linear-scan baseline with the same query API as the R-tree.
 
-use crate::rect::Rect;
 use crate::rtree::{dist_sq, sort_hits};
 use crate::stats::QueryStats;
 
@@ -45,18 +44,6 @@ impl<T: Clone> LinearScan<T> {
             .iter()
             .position(|(p, t)| p.as_slice() == point && pred(t))?;
         Some(self.entries.swap_remove(pos).1)
-    }
-
-    /// All points inside `rect`.
-    pub fn range(&self, rect: &Rect, stats: &mut QueryStats) -> Vec<(&[f64], &T)> {
-        stats.nodes_visited += 1;
-        stats.leaves_visited += 1;
-        self.entries
-            .iter()
-            .inspect(|_| stats.entries_checked += 1)
-            .filter(|(p, _)| rect.contains_point(p))
-            .map(|(p, t)| (p.as_slice(), t))
-            .collect()
     }
 
     /// All points within `radius` of `center`, in the R-tree's hit
@@ -127,11 +114,6 @@ mod tests {
 
         let ball = s.within_distance(&[0.0, 0.0], 1.5, &mut stats);
         assert_eq!(ball.len(), 2);
-
-        let rect = Rect::new(vec![4.0, 4.0], vec![6.0, 6.0]);
-        let range = s.range(&rect, &mut stats);
-        assert_eq!(range.len(), 1);
-        assert_eq!(*range[0].1, 2);
     }
 
     #[test]

@@ -87,15 +87,6 @@ impl Rect {
         self.union(other).volume() - self.volume()
     }
 
-    /// Whether the rectangles overlap (closed intervals).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min
-            .iter()
-            .zip(&self.max)
-            .zip(other.min.iter().zip(&other.max))
-            .all(|((amin, amax), (bmin, bmax))| amin <= bmax && amax >= bmin)
-    }
-
     /// Whether the rectangle contains the point (boundary inclusive).
     pub fn contains_point(&self, p: &[f64]) -> bool {
         self.min
@@ -150,16 +141,6 @@ mod tests {
         // Union with a contained rect costs nothing.
         let c = Rect::new(vec![0.2, 0.2], vec![0.8, 0.8]);
         assert_eq!(a.enlargement(&c), 0.0);
-    }
-
-    #[test]
-    fn intersection_tests() {
-        let a = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let b = Rect::new(vec![1.0, 1.0], vec![2.0, 2.0]); // touches corner
-        let c = Rect::new(vec![1.5, 0.0], vec![2.0, 0.5]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert!(a.intersects(&a));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! An R-tree over feature-space points (§2.3 of the paper).
 //!
 //! Classic Guttman R-tree with quadratic split, storing points at the
-//! leaves. Supports range queries, similarity-ball queries, and
-//! best-first k-nearest-neighbor search with MINDIST pruning
+//! leaves. Supports the paper's two query types: similarity-ball
+//! queries and best-first k-nearest-neighbor search with MINDIST pruning
 //! (Roussopoulos et al. / Hjaltason & Samet). All traversals are
 //! instrumented with node-access counters so the index-efficiency
 //! experiment can compare against a linear scan.
@@ -464,35 +464,6 @@ impl<T: Clone> RTree<T> {
         }
     }
 
-    /// All points inside `rect` (boundary inclusive).
-    pub fn range(&self, rect: &Rect, stats: &mut QueryStats) -> Vec<(&[f64], &T)> {
-        let mut out = Vec::new();
-        let mut stack = vec![&self.root];
-        while let Some(node) = stack.pop() {
-            stats.nodes_visited += 1;
-            match node {
-                Node::Leaf(entries) => {
-                    stats.leaves_visited += 1;
-                    for (p, t) in entries.iter() {
-                        stats.entries_checked += 1;
-                        if rect.contains_point(p) {
-                            out.push((p.as_slice(), t));
-                        }
-                    }
-                }
-                Node::Inner(entries) => {
-                    for (r, child) in entries.iter() {
-                        stats.entries_checked += 1;
-                        if r.intersects(rect) {
-                            stack.push(child);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// All points within Euclidean distance `radius` of `center`,
     /// nearest first; equal distances come out in payload order, so
     /// the list depends only on the stored points, never on the tree's
@@ -594,8 +565,9 @@ impl<T: Clone> RTree<T> {
             d2: 0.0,
             item: Item::Node(&self.root),
         });
-        // hotpath: allow(hot-alloc) — the candidate heap is the query's working set
-        let mut out = Vec::with_capacity(k);
+        // `k` comes from the request: a top-k past the stored count
+        // must not size the allocation.
+        let mut out = Vec::with_capacity(k.min(self.len));
 
         while let Some(HeapEntry { d2, item }) = heap.pop() {
             if out.len() >= k {
@@ -1003,31 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn range_query_matches_filter() {
-        let mut t: RTree<usize> = RTree::with_dim(2);
-        let pts = grid_points_2d(12);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i);
-        }
-        let rect = Rect::new(vec![2.5, 3.0], vec![6.0, 7.5]);
-        let mut stats = QueryStats::default();
-        let got: Vec<usize> = {
-            let mut ids: Vec<usize> = t.range(&rect, &mut stats).iter().map(|(_, &t)| t).collect();
-            ids.sort_unstable();
-            ids
-        };
-        let mut want: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| rect.contains_point(p))
-            .map(|(i, _)| i)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert!(stats.nodes_visited > 0);
-    }
-
-    #[test]
     fn knn_returns_sorted_nearest() {
         let mut t: RTree<usize> = RTree::with_dim(2);
         let pts = grid_points_2d(12);
@@ -1150,6 +1097,28 @@ mod tests {
         t.insert(vec![1.0, 0.0], 2);
         let got = t.knn(&[0.0, 0.0], 10, &mut QueryStats::default());
         assert_eq!(got.len(), 2);
+    }
+
+    /// A top-k from a request can be any size: `k` past the stored
+    /// count returns every point, in the linear scan's order, without
+    /// reserving room for `k`.
+    #[test]
+    fn knn_with_unbounded_k_matches_linear_scan() {
+        let mut t: RTree<usize> = RTree::with_dim(2);
+        let mut l = crate::LinearScan::new(2);
+        for (i, p) in grid_points_2d(7).into_iter().enumerate() {
+            t.insert(p.clone(), i);
+            l.insert(p, i);
+        }
+        let q = [2.3, 4.1];
+        let ids = |hits: Vec<(&[f64], &usize, f64)>| -> Vec<(usize, u64)> {
+            hits.into_iter()
+                .map(|(_, &i, d)| (i, d.to_bits()))
+                .collect()
+        };
+        let got = ids(t.knn(&q, usize::MAX, &mut QueryStats::default()));
+        assert_eq!(got.len(), 49);
+        assert_eq!(got, ids(l.knn(&q, usize::MAX, &mut QueryStats::default())));
     }
 
     #[test]

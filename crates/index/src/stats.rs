@@ -21,12 +21,6 @@ impl QueryStats {
         self.leaves_visited += other.leaves_visited;
         self.entries_checked += other.entries_checked;
     }
-
-    /// Total node accesses (the paper's index-cost measure): every
-    /// inner or leaf node touched during traversal.
-    pub fn node_accesses(&self) -> usize {
-        self.nodes_visited
-    }
 }
 
 impl std::fmt::Display for QueryStats {

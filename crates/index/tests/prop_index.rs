@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use tdess_index::{LinearScan, QueryStats, RTree, RTreeConfig, Rect};
+use tdess_index::{LinearScan, QueryStats, RTree, RTreeConfig};
 
 fn arb_points(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-100.0f64..100.0, dim..=dim), 1..300)
@@ -95,20 +95,6 @@ proptest! {
         let q = [0.0, 0.0, 0.0, 0.0];
         let mut s = QueryStats::default();
         prop_assert_eq!(bits(&t.within_distance(&q, r, &mut s)), bits(&l.within_distance(&q, r, &mut s)));
-    }
-
-    #[test]
-    fn range_query_matches_linear(pts in arb_points(2),
-                                  x0 in -120.0f64..0.0, y0 in -120.0f64..0.0,
-                                  w in 0.0f64..200.0, h in 0.0f64..200.0) {
-        let (t, l) = build(2, &pts, 6);
-        let rect = Rect::new(vec![x0, y0], vec![x0 + w, y0 + h]);
-        let mut s = QueryStats::default();
-        let mut a: Vec<usize> = t.range(&rect, &mut s).iter().map(|e| *e.1).collect();
-        let mut b: Vec<usize> = l.range(&rect, &mut s).iter().map(|e| *e.1).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     #[test]

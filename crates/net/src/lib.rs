@@ -7,7 +7,7 @@
 //!   version-checked JSON handshake, typed
 //!   [`proto::Request`]/[`proto::Response`] enums, and decode errors
 //!   that are typed values, never panics; the payload layouts live in
-//!   one private `codec` module;
+//!   one private `codec` module over [`tdess_core::le`];
 //! * **server** ([`server`]) — [`NetServer`], a bounded thread-pool
 //!   front end with explicit backpressure (`Busy` replies when the
 //!   accept queue is full), per-connection timeouts, transport

@@ -74,7 +74,8 @@
 //! before it allocates, and rejects unknown tags, out-of-range kinds,
 //! invalid UTF-8, short payloads and trailing bytes as
 //! [`WireError::Malformed`]. The private `codec` module holds every
-//! layout.
+//! layout; it reads and writes the fields through
+//! [`tdess_core::le`], the codec the `TDSS` snapshot uses too.
 
 use std::io::{IoSlice, Read, Write};
 

@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel;
 use tdess_core::{check_vector, DbError, MultiStepPlan, Query, QueryMode, SearchServer, Weights};
 use tdess_features::{FeatureExtractor, FeatureKind};
+use tdess_geom::TriMesh;
 use tdess_obs::{event, Counter, FlightRecorder, Histogram, RecorderConfig, TraceGuard};
 
 use crate::proto::{
@@ -786,6 +787,15 @@ fn validate_query(extractor: &FeatureExtractor, query: &Query) -> Result<(), Err
     Ok(())
 }
 
+/// Checks a submitted mesh with [`TriMesh::check_input`]: a dangling
+/// index or a non-finite coordinate would panic the core.
+fn validate_mesh(mesh: &TriMesh) -> Result<(), ErrorReply> {
+    mesh.check_input().map_err(|defect| {
+        // hotpath: allow(hot-alloc) — formats only on the rejected-request path
+        ErrorReply::new(ErrorKind::Malformed, format!("mesh: {defect}"))
+    })
+}
+
 /// Checks a multi-step plan's shape (the core `assert!`s on it).
 fn validate_plan(plan: &MultiStepPlan) -> Result<(), ErrorReply> {
     if plan.steps.is_empty() {
@@ -825,24 +835,28 @@ fn dispatch(shared: &NetShared, req: Request) -> Response {
         }
         Request::SearchMesh { mesh, query } => {
             let snap = search.snapshot();
-            validate_query(snap.extractor(), &query).map(|()| {
-                match search.search_mesh_on(&snap, &mesh, &query) {
+            validate_mesh(&mesh)
+                .and_then(|()| validate_query(snap.extractor(), &query))
+                .map(|()| match search.search_mesh_on(&snap, &mesh, &query) {
+                    Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
+                    Err(e) => db_error_reply(&e),
+                })
+        }
+        Request::MultiStep { mesh, plan } => validate_mesh(&mesh)
+            .and_then(|()| validate_plan(&plan))
+            .map(|()| {
+                let snap = search.snapshot();
+                match search.multi_step_mesh_on(&snap, &mesh, &plan) {
                     Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
                     Err(e) => db_error_reply(&e),
                 }
+            }),
+        Request::Insert { name, mesh } => {
+            validate_mesh(&mesh).map(|()| match search.insert(name, mesh) {
+                Ok(id) => Response::Inserted { id },
+                Err(e) => db_error_reply(&e),
             })
         }
-        Request::MultiStep { mesh, plan } => validate_plan(&plan).map(|()| {
-            let snap = search.snapshot();
-            match search.multi_step_mesh_on(&snap, &mesh, &plan) {
-                Ok(hits) => Response::Hits(HitsReport::new(&snap, &hits)),
-                Err(e) => db_error_reply(&e),
-            }
-        }),
-        Request::Insert { name, mesh } => Ok(match search.insert(name, mesh) {
-            Ok(id) => Response::Inserted { id },
-            Err(e) => db_error_reply(&e),
-        }),
         Request::Remove { id } => Ok(match search.remove(id) {
             Ok(()) => Response::Removed { id },
             Err(e) => db_error_reply(&e),

@@ -357,6 +357,107 @@ fn requests_that_would_panic_the_core_get_typed_errors() {
     client.ping().unwrap();
 }
 
+/// Meshes the core would panic on — a dangling index, a NaN vertex,
+/// coordinates whose moments overflow — draw typed errors from a
+/// one-worker server, and that one worker still answers a fresh
+/// connection after each.
+#[test]
+fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
+    let mut server = serve(NetServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let addr = server.local_addr();
+    let connect = || {
+        let cfg = NetClientConfig {
+            request_timeout: Duration::from_secs(10),
+            ..Default::default()
+        };
+        NetClient::connect(addr, cfg).unwrap()
+    };
+    let scaled = |s: f64| {
+        let mut m = primitives::box_mesh(Vec3::ONE);
+        m.scale_uniform(s);
+        m
+    };
+    let mut bad_index = primitives::box_mesh(Vec3::ONE);
+    bad_index.triangles[0][1] = 99;
+    let mut nan = primitives::box_mesh(Vec3::ONE);
+    nan.vertices[2].z = f64::NAN;
+    let (huge, overflowing) = (scaled(1e70), scaled(1e300));
+    let query = Query::top_k(FeatureKind::MomentInvariants, 3);
+    let plan = MultiStepPlan {
+        steps: vec![FeatureKind::MomentInvariants],
+        candidates: 3,
+        presented: 2,
+    };
+
+    type Send<'a> = Box<dyn Fn(&mut NetClient) -> Result<(), WireError> + 'a>;
+    let cases: [(&str, ErrorKind, Send); 4] = [
+        (
+            "SearchMesh with a bad index",
+            ErrorKind::Malformed,
+            Box::new(|c| c.search_mesh(&bad_index, &query).map(drop)),
+        ),
+        (
+            "MultiStep with a NaN vertex",
+            ErrorKind::Malformed,
+            Box::new(|c| c.multi_step(&nan, &plan).map(drop)),
+        ),
+        (
+            "Insert of a box scaled by 1e70",
+            ErrorKind::Extraction,
+            Box::new(|c| c.insert("huge", &huge).map(drop)),
+        ),
+        (
+            "SearchMesh of a box scaled by 1e300",
+            ErrorKind::Extraction,
+            Box::new(|c| c.search_mesh(&overflowing, &query).map(drop)),
+        ),
+    ];
+    for (what, kind, send) in &cases {
+        let mut client = connect();
+        let err = send(&mut client).expect_err(what);
+        assert!(
+            matches!(&err, WireError::Remote(e) if e.kind == *kind),
+            "{what}: {err:?}"
+        );
+        drop(client);
+        connect()
+            .ping()
+            .unwrap_or_else(|e| panic!("ping after {what}: {e}"));
+    }
+    server.shutdown();
+}
+
+/// A top-k or a candidate count past the database size answers every
+/// shape: the request's count never sizes an allocation.
+#[test]
+fn top_k_and_candidates_past_the_database_answer_every_shape() {
+    let server = serve(NetServerConfig::default());
+    let mut client = NetClient::connect_default(server.local_addr()).unwrap();
+    let mesh = primitives::box_mesh(Vec3::ONE);
+    let features = SearchServer::new(small_db())
+        .snapshot()
+        .extractor()
+        .extract(&mesh)
+        .unwrap();
+
+    let query = Query::top_k(FeatureKind::MomentInvariants, 1 << 40);
+    let hits = client.search_features(&features, &query).unwrap();
+    assert_eq!(hits.hits.len(), 5);
+    client.ping().unwrap();
+
+    let plan = MultiStepPlan {
+        steps: vec![FeatureKind::PrincipalMoments, FeatureKind::MomentInvariants],
+        candidates: 1 << 40,
+        presented: 1 << 40,
+    };
+    let hits = client.multi_step(&mesh, &plan).unwrap();
+    assert_eq!(hits.hits.len(), 5);
+    client.ping().unwrap();
+}
+
 #[test]
 fn full_accept_queue_answers_busy() {
     let mut server = serve(NetServerConfig {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use tdess_geom::{Aabb, Vec3};
+use tdess_geom::Vec3;
 
 /// A dense, bit-packed voxel occupancy grid.
 ///
@@ -165,19 +165,6 @@ impl VoxelGrid {
             return None;
         }
         Some((i, j, k))
-    }
-
-    /// World-space bounding box of the whole grid.
-    pub fn world_bounds(&self) -> Aabb {
-        Aabb::new(
-            self.origin,
-            self.origin
-                + Vec3::new(
-                    self.nx as f64 * self.voxel_size,
-                    self.ny as f64 * self.voxel_size,
-                    self.nz as f64 * self.voxel_size,
-                ),
-        )
     }
 
     /// Iterates over the coordinates of all filled voxels.

@@ -44,9 +44,10 @@ pub const AUDIT_RULES: [&str; 4] = [RULE_LOCK, RULE_ORDERING, RULE_THREAD, RULE_
 /// Files (workspace-relative prefixes) whose allocations decode wire
 /// or file input and therefore fall under `wire-alloc`. The dataset
 /// crate *generates* meshes procedurally and is deliberately absent.
-const WIRE_AUDITED_PREFIXES: [&str; 4] = [
+const WIRE_AUDITED_PREFIXES: [&str; 5] = [
     "crates/net/src/",
     "crates/geom/src/io.rs",
+    "crates/core/src/le.rs",
     "crates/core/src/persist.rs",
     "crates/core/src/snapshot.rs",
 ];

@@ -223,12 +223,17 @@ fn alloc_pattern(line: &str) -> Option<&'static str> {
     None
 }
 
+/// Lock acquisitions: `Mutex::lock` and `RwLock::read`/`write`. The
+/// empty argument lists keep `io::Read::read(buf)` and
+/// `io::Write::write(buf)` out.
+const LOCK_CALLS: [&str; 3] = [".lock()", ".read()", ".write()"];
+
 /// The first blocking pattern on `line`, if any.
 fn block_pattern(line: &str) -> Option<&'static str> {
     BLOCKING_PATTERNS
         .iter()
         .filter(|p| !PIPELINE_CALLS.contains(p))
-        .chain(std::iter::once(&".lock()"))
+        .chain(&LOCK_CALLS)
         .find(|p| has_pattern(line, p))
         .copied()
 }

@@ -78,6 +78,33 @@ fn negative_fixture_is_clean_with_waivers_counted() {
     }
 }
 
+/// `RwLock::read()`/`write()` block like `Mutex::lock()`; the
+/// buffer-taking `io::Read::read(buf)` and `io::Write::write(buf)` are
+/// not lock calls.
+#[test]
+fn rwlock_read_and_write_are_hot_blocks() {
+    let report = hotpath_root(&fixture("hotpath-rwlock"), None).unwrap();
+    let blocks: Vec<&str> = report
+        .unwaived()
+        .filter(|f| f.rule == RULE_HOT_BLOCK)
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(blocks.len(), 2, "{blocks:?}");
+    assert!(
+        blocks
+            .iter()
+            .any(|m| m.contains("`current_len`") && m.contains("`.read()`")),
+        "{blocks:?}"
+    );
+    assert!(
+        blocks
+            .iter()
+            .any(|m| m.contains("`publish`") && m.contains("`.write()`")),
+        "{blocks:?}"
+    );
+    assert!(!blocks.iter().any(|m| m.contains("`echo`")), "{blocks:?}");
+}
+
 #[test]
 fn binary_exits_nonzero_on_positive_and_zero_on_negative() {
     let bin = env!("CARGO_BIN_EXE_xtask");

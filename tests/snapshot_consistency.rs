@@ -280,7 +280,7 @@ fn hostile_json_is_rejected_at_load() {
     let valid: Value = serde_json::from_reader(&json[..]).unwrap();
 
     type Edit = fn(&mut Value);
-    let cases: [(&str, &str, Edit); 5] = [
+    let cases: [(&str, &str, Edit); 6] = [
         ("missing_dmax.json", "missing dmax", |v| {
             let Value::Obj(kinds) = field(v, "dmax") else {
                 panic!("dmax is not an object");
@@ -300,6 +300,11 @@ fn hostile_json_is_rejected_at_load() {
         }),
         ("zero_spectrum_dim.json", "spectrum_dim", |v| {
             *field(field(v, "extractor"), "spectrum_dim") = Value::Int(0);
+        }),
+        ("bad_index.json", "out-of-bounds vertex index", |v| {
+            let shape = &mut items(field(v, "shapes"))[0];
+            let triangle = &mut items(field(field(shape, "mesh"), "triangles"))[0];
+            items(triangle)[2] = Value::Int(1 << 20);
         }),
     ];
     for (file, why, edit) in cases {
