@@ -14,6 +14,13 @@
 //! * **index build** — every feature space's R-tree built by STR bulk
 //!   loading vs one-at-a-time insertion, build wall time plus mean
 //!   kNN node accesses over 100 stored-vector queries on each;
+//! * **per-space kNN** — for each feature space, top-10 kNN wall time
+//!   and entries checked per query over 100 unseen shapes (a corpus
+//!   from another seed), on the bulk-loaded tree and again after
+//!   one-at-a-time inserts of 20% more shapes from a third seed. The
+//!   run exits
+//!   non-zero if inserts leave any space checking more than
+//!   [`CHURN_BOUND`]× the entries of its bulk-loaded tree;
 //! * **equivalence** — search results from the re-loaded binary (and
 //!   JSON, where produced) database are checked bit-identical to the
 //!   in-memory database before any timing is trusted;
@@ -60,6 +67,16 @@ const JSON_MAX_SHAPES: usize = 10_000;
 /// Timed inserts (and then removes) per scale.
 const WRITES: usize = 50;
 
+/// Entries a churned tree may check per query, as a multiple of its
+/// bulk-loaded tree's; beyond it inserts have degraded the index.
+const CHURN_BOUND: f64 = 1.25;
+
+/// Seeds of the unseen query shapes and of the shapes inserted into
+/// the bulk-loaded trees: neither the corpus's nor each other's, so the
+/// inserted shapes sit no nearer the queries than the stored ones.
+const QUERY_SEED: u64 = CORPUS_SEED + 2;
+const INSERT_SEED: u64 = CORPUS_SEED + 3;
+
 struct PersistNumbers {
     bin_bytes: u64,
     bin_save_s: f64,
@@ -72,6 +89,16 @@ struct WriteNumbers {
     insert_p90_ms: f64,
     remove_p50_ms: f64,
     remove_p90_ms: f64,
+}
+
+/// Top-10 kNN cost in one feature space: mean µs and entries checked
+/// per unseen query, bulk-loaded and after inserts.
+struct SpaceNumbers {
+    kind: FeatureKind,
+    bulk_us: f64,
+    bulk_entries: f64,
+    churned_us: f64,
+    churned_entries: f64,
 }
 
 struct IndexNumbers {
@@ -114,6 +141,8 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut write_rows = Vec::new();
+    let mut space_rows = Vec::new();
+    let mut degraded = Vec::new();
     let mut scale_json = Vec::new();
     for &n in scales {
         eprintln!("[setup] generating {n} synthetic shapes (seed {CORPUS_SEED})");
@@ -132,6 +161,7 @@ fn main() {
         eprintln!("[setup] database of {n} indexed in {db_build_s:.2}s");
 
         let index = index_numbers(&db, n);
+        let spaces = space_numbers(&db, &extractor, n);
         let persist = persist_numbers(&db, n, &dir);
         let writes = write_numbers(db, &parts);
 
@@ -154,6 +184,21 @@ fn main() {
             format!("{:.1}", index.str_nodes_per_query),
             format!("{:.1}", index.incr_nodes_per_query),
         ]);
+        for sp in &spaces {
+            let ratio = sp.churned_entries / sp.bulk_entries.max(1.0);
+            if ratio > CHURN_BOUND {
+                degraded.push(format!("{:?} at {n}: {ratio:.2}x", sp.kind));
+            }
+            space_rows.push(vec![
+                n.to_string(),
+                sp.kind.label().to_string(),
+                format!("{:.1}", sp.bulk_us),
+                format!("{:.0}", sp.bulk_entries),
+                format!("{:.1}", sp.churned_us),
+                format!("{:.0}", sp.churned_entries),
+                format!("{ratio:.2}x"),
+            ]);
+        }
         write_rows.push(vec![
             n.to_string(),
             format!("{:.2}", writes.insert_p50_ms),
@@ -193,11 +238,24 @@ fn main() {
             "remove_p50_ms": writes.remove_p50_ms,
             "remove_p90_ms": writes.remove_p90_ms,
         });
+        let spaces_json: Vec<serde_json::Value> = spaces
+            .iter()
+            .map(|sp| {
+                serde_json::json!({
+                    "kind": format!("{:?}", sp.kind),
+                    "bulk_knn_us": sp.bulk_us,
+                    "bulk_entries_per_query": sp.bulk_entries,
+                    "churned_knn_us": sp.churned_us,
+                    "churned_entries_per_query": sp.churned_entries,
+                })
+            })
+            .collect();
         scale_json.push(serde_json::json!({
             "shapes": n,
             "db_build_s": db_build_s,
             "persist": persist_json,
             "index": index_json,
+            "knn_per_space": serde_json::Value::Arr(spaces_json),
             "writes": writes_json,
         }));
     }
@@ -241,11 +299,30 @@ fn main() {
     );
     println!("\n{write_title}");
     println!("{write_table}");
+    let space_headers = [
+        "shapes",
+        "space",
+        "bulk µs/q",
+        "bulk entries/q",
+        "churned µs/q",
+        "churned entries/q",
+        "churned/bulk",
+    ];
+    let space_table = render_table(&space_headers, &space_rows);
+    let space_title = format!(
+        "Top-10 kNN per feature space — {QUERIES} unseen queries, on the bulk-loaded tree \
+         and after one-at-a-time inserts of 20% more shapes (bound {CHURN_BOUND}x entries)"
+    );
+    println!("\n{space_title}");
+    println!("{space_table}");
 
     let json = serde_json::json!({
         "corpus_seed": CORPUS_SEED,
         "anchor_resolution": ANCHOR_RESOLUTION,
         "queries_per_tree": QUERIES,
+        "query_seed": QUERY_SEED,
+        "insert_seed": INSERT_SEED,
+        "churn_bound": CHURN_BOUND,
         "scales": serde_json::Value::Arr(scale_json),
     });
     write_bench_json("tab_scale", smoke, json);
@@ -253,8 +330,17 @@ fn main() {
         let _ = std::fs::create_dir_all("results");
         write_or_die(
             "results/tab_scale.txt",
-            &format!("{title}\n{table}\n\n{write_title}\n{write_table}\n"),
+            &format!(
+                "{title}\n{table}\n\n{write_title}\n{write_table}\n\n{space_title}\n{space_table}\n"
+            ),
         );
+    }
+    if !degraded.is_empty() {
+        eprintln!(
+            "error: inserts degraded the index past {CHURN_BOUND}x entries per query: {}",
+            degraded.join(", ")
+        );
+        std::process::exit(1);
     }
 }
 
@@ -405,10 +491,61 @@ fn write_numbers(db: ShapeDatabase, parts: &[(String, TriMesh)]) -> WriteNumbers
     }
 }
 
+/// Per feature space: top-10 kNN over [`QUERIES`] unseen shapes on the
+/// bulk-loaded tree, then on the same tree after one-at-a-time inserts
+/// of `n / 5` more shapes from [`INSERT_SEED`]. Time is the fastest of
+/// [`best_of`]'s passes; entry counts repeat exactly.
+fn space_numbers(db: &ShapeDatabase, extractor: &FeatureExtractor, n: usize) -> Vec<SpaceNumbers> {
+    let unseen = |seed, count| match synth_corpus(extractor, seed, count) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: unseen anchor extraction: {e}");
+            std::process::exit(1);
+        }
+    };
+    let (queries, extra) = (unseen(QUERY_SEED, QUERIES), unseen(INSERT_SEED, n / 5));
+    let knn_cost = |tree: &RTree<u64>, kind: FeatureKind| {
+        let mut stats = QueryStats::default();
+        for (_, _, f) in &queries {
+            std::hint::black_box(tree.knn(f.get(kind), 10, &mut stats));
+        }
+        let (best_s, ()) = best_of(|| {
+            for (_, _, f) in &queries {
+                std::hint::black_box(tree.knn(f.get(kind), 10, &mut QueryStats::default()));
+            }
+        });
+        let q = queries.len() as f64;
+        (best_s * 1e6 / q, stats.entries_checked as f64 / q)
+    };
+    FeatureKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let points: Vec<(Vec<f64>, u64)> = db
+                .shapes()
+                .iter()
+                .map(|s| (s.features.get(kind).to_vec(), s.id))
+                .collect();
+            let bulk = RTree::bulk_load(db.extractor().dim(kind), RTreeConfig::default(), points);
+            let (bulk_us, bulk_entries) = knn_cost(&bulk, kind);
+            let mut churned = bulk;
+            for (i, (_, _, f)) in extra.iter().enumerate() {
+                churned.insert(f.get(kind).to_vec(), (n + i) as u64 + 1);
+            }
+            let (churned_us, churned_entries) = knn_cost(&churned, kind);
+            SpaceNumbers {
+                kind,
+                bulk_us,
+                bulk_entries,
+                churned_us,
+                churned_entries,
+            }
+        })
+        .collect()
+}
+
 /// Builds each feature space's tree twice — STR bulk load vs
 /// incremental insertion — and compares build time and query node
-/// accesses. The STR trees must never need more node accesses than the
-/// incremental ones; that regression check is the point of the column.
+/// accesses; both trees must return bit-identical distances.
 fn index_numbers(db: &ShapeDatabase, n: usize) -> IndexNumbers {
     let config = RTreeConfig::default();
     let mut str_build_s = 0.0;

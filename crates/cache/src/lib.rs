@@ -29,6 +29,10 @@
 //!      resident, evict the oldest to the budget ─────▶ miss
 //! ```
 //!
+//! A failed extraction reaches every caller of its flight, and its
+//! slot is dropped rather than made resident, so the cache never holds
+//! an error.
+//!
 //! N concurrent identical queries therefore run one extraction: the
 //! rest block on the shared cell and reuse its result. Only resident
 //! keys enter the recency index, so eviction can never drop an
@@ -48,7 +52,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
-use tdess_features::FeatureSet;
+use tdess_features::{FeatureSet, NormalizeError};
 
 /// Address of a span in some request trace: `(trace id, span id)`.
 ///
@@ -115,10 +119,11 @@ pub struct CacheStatsSnapshot {
 }
 
 /// What the caller that ran an extraction publishes through the
-/// in-flight cell: the features plus its span address, so followers
-/// can link (rather than duplicate) the one extraction that ran.
+/// in-flight cell: the features (or why there are none) plus its span
+/// address, so followers can link (rather than duplicate) the one
+/// extraction that ran.
 struct Landed {
-    value: Arc<FeatureSet>,
+    value: Result<Arc<FeatureSet>, NormalizeError>,
     leader: SpanLink,
 }
 
@@ -198,7 +203,8 @@ impl FeatureCache {
 
     /// Returns the cached `FeatureSet` for `key`, or runs
     /// `produce_features` exactly once across all concurrent callers
-    /// with this key and caches its result.
+    /// with this key and caches its result. An extraction error goes
+    /// to every caller of that flight and is not cached.
     ///
     /// `my_link` is the caller's current span address (`None` when not
     /// tracing). The caller that runs the extraction publishes its link
@@ -216,9 +222,9 @@ impl FeatureCache {
         key: CacheKey,
         my_link: SpanLink,
         produce_features: F,
-    ) -> (Arc<FeatureSet>, CacheOutcome)
+    ) -> Result<(Arc<FeatureSet>, CacheOutcome), NormalizeError>
     where
-        F: FnOnce() -> FeatureSet,
+        F: FnOnce() -> Result<FeatureSet, NormalizeError>,
     {
         let cell = {
             let mut guard = self.lock_state();
@@ -234,7 +240,7 @@ impl FeatureCache {
                     state.recency.insert(state.clock, key);
                     *tick = state.clock;
                     state.stats.hits += 1;
-                    return (Arc::clone(value), CacheOutcome::Hit);
+                    return Ok((Arc::clone(value), CacheOutcome::Hit));
                 }
                 Slot::InFlight(cell) => Arc::clone(cell),
             }
@@ -243,20 +249,26 @@ impl FeatureCache {
         let landed = cell.get_or_init(|| {
             led = true;
             Landed {
-                value: Arc::new(produce_features()),
+                value: produce_features().map(Arc::new),
                 leader: my_link,
             }
         });
-        let value = Arc::clone(&landed.value);
+        let value = landed.value.as_ref().map(Arc::clone).map_err(|&e| e);
         let mut state = self.lock_state();
         if led {
             state.stats.misses += 1;
-            state.admit(key, Arc::clone(&value));
-            (value, CacheOutcome::Miss)
+            match &value {
+                Ok(features) => state.admit(key, Arc::clone(features)),
+                // The next caller with this key extracts afresh.
+                Err(_) => {
+                    state.slots.remove(&key);
+                }
+            }
+            value.map(|v| (v, CacheOutcome::Miss))
         } else {
             state.stats.coalesced_waits += 1;
             let leader = clone_link(&landed.leader);
-            (value, CacheOutcome::Coalesced { leader })
+            value.map(|v| (v, CacheOutcome::Coalesced { leader }))
         }
     }
 
@@ -319,7 +331,24 @@ mod tests {
 
     /// Looks `k` up, returning only the value.
     fn get(cache: &FeatureCache, k: CacheKey, tag: f64) -> Arc<FeatureSet> {
-        cache.get_or_extract(k, None, || features(tag)).0
+        cache
+            .get_or_extract(k, None, || Ok(features(tag)))
+            .unwrap()
+            .0
+    }
+
+    /// A failed extraction reaches its caller and is not cached: the
+    /// next lookup of the key extracts again.
+    #[test]
+    fn errors_reach_the_caller_and_are_not_cached() {
+        let cache = FeatureCache::with_config(CacheConfig::default());
+        let k = key(3);
+        let failed = cache.get_or_extract(k, None, || Err(NormalizeError::NonFiniteFeatures));
+        assert_eq!(failed.err(), Some(NormalizeError::NonFiniteFeatures));
+        assert_eq!(cache.stats_snapshot().entries, 0);
+        let (_, outcome) = cache.get_or_extract(k, None, || Ok(features(1.0))).unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(cache.stats_snapshot().entries, 1);
     }
 
     #[test]
@@ -327,14 +356,18 @@ mod tests {
         let cache = FeatureCache::with_config(CacheConfig::default());
         let calls = AtomicUsize::new(0);
         let k = key(1);
-        let (first, _) = cache.get_or_extract(k, None, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            features(0.25)
-        });
-        let (second, _) = cache.get_or_extract(k, None, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            features(0.75)
-        });
+        let (first, _) = cache
+            .get_or_extract(k, None, || {
+                calls.fetch_add(1, Ordering::SeqCst);
+                Ok(features(0.25))
+            })
+            .unwrap();
+        let (second, _) = cache
+            .get_or_extract(k, None, || {
+                calls.fetch_add(1, Ordering::SeqCst);
+                Ok(features(0.75))
+            })
+            .unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 1, "second call must hit");
         assert!(Arc::ptr_eq(&first, &second), "hit returns the same value");
         let s = cache.stats_snapshot();
@@ -392,7 +425,7 @@ mod tests {
             assert_eq!(get(&cache, k, 9.0).moment_invariants[0], tag);
         }
         assert_eq!(cache.stats_snapshot().misses, 4);
-        let (again, outcome) = cache.get_or_extract(b, None, || features(5.0));
+        let (again, outcome) = cache.get_or_extract(b, None, || Ok(features(5.0))).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss, "the oldest entry went first");
         assert_eq!(again.moment_invariants[0], 5.0);
         assert!(cache.stats_snapshot().resident_bytes <= 3 * cost);
@@ -407,7 +440,7 @@ mod tests {
         get(&cache, key(1), 1.0);
         let mut big = features(2.0);
         big.shape_distribution = vec![2.0; 1000];
-        let (v, outcome) = cache.get_or_extract(key(2), None, || big);
+        let (v, outcome) = cache.get_or_extract(key(2), None, || Ok(big)).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         assert_eq!(v.shape_distribution.len(), 1000, "the caller still gets it");
         let s = cache.stats_snapshot();
@@ -419,8 +452,8 @@ mod tests {
     fn outcomes_distinguish_hit_from_miss() {
         let cache = FeatureCache::with_config(CacheConfig::default());
         let k = key(5);
-        let (_, first) = cache.get_or_extract(k, None, || features(1.0));
-        let (_, second) = cache.get_or_extract(k, None, || features(2.0));
+        let (_, first) = cache.get_or_extract(k, None, || Ok(features(1.0))).unwrap();
+        let (_, second) = cache.get_or_extract(k, None, || Ok(features(2.0))).unwrap();
         assert_eq!(first, CacheOutcome::Miss);
         assert_eq!(second, CacheOutcome::Hit);
     }
@@ -439,7 +472,7 @@ mod tests {
                 cache.get_or_extract(k, link, || {
                     started_tx.send(()).expect("send started");
                     release_rx.recv().expect("recv release");
-                    features(1.0)
+                    Ok(features(1.0))
                 })
             })
         };
@@ -450,14 +483,14 @@ mod tests {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
                 let link: SpanLink = Some((Arc::from("follower-trace"), 3));
-                cache.get_or_extract(k, link, || features(2.0))
+                cache.get_or_extract(k, link, || Ok(features(2.0)))
             })
         };
         // Let the follower reach the flight cell, then release.
         std::thread::sleep(std::time::Duration::from_millis(100));
         release_tx.send(()).expect("release leader");
-        let (lv, lo) = leader.join().expect("leader join");
-        let (fv, fo) = follower.join().expect("follower join");
+        let (lv, lo) = leader.join().expect("leader join").unwrap();
+        let (fv, fo) = follower.join().expect("follower join").unwrap();
         assert_eq!(lo, CacheOutcome::Miss);
         assert!(Arc::ptr_eq(&lv, &fv), "both share the one extraction");
         assert_eq!(lv.moment_invariants[0], 1.0, "leader's extraction won");

@@ -51,8 +51,9 @@ fn n_threads_one_key_exactly_one_extraction() {
                             // Hold the flight open long enough that the
                             // herd piles up behind it.
                             thread::sleep(Duration::from_millis(50));
-                            features(0.5, 32)
+                            Ok(features(0.5, 32))
                         })
+                        .unwrap()
                         .0
                 })
             })
@@ -113,7 +114,9 @@ fn budget_holds_under_concurrent_admits() {
                 scope.spawn(move || {
                     for i in 0..KEYS_PER_WRITER {
                         let k = key(w as u64 * KEYS_PER_WRITER + i + 1);
-                        let (v, _) = cache.get_or_extract(k, None, || features(i as f64, 300));
+                        let (v, _) = cache
+                            .get_or_extract(k, None, || Ok(features(i as f64, 300)))
+                            .unwrap();
                         assert_eq!(v.moment_invariants[0], i as f64);
                     }
                 })
@@ -162,13 +165,15 @@ fn herds_on_distinct_keys_do_not_serialize_each_other() {
         for k in [k1, k2] {
             for _ in 0..PER_HERD {
                 handles.push(scope.spawn(move || {
-                    cache.get_or_extract(k, None, || {
-                        extractions.fetch_add(1, Ordering::SeqCst);
-                        // Rendezvous with the *other* key's leader —
-                        // only possible if flights are independent.
-                        leaders.wait();
-                        features(1.0, 8)
-                    })
+                    cache
+                        .get_or_extract(k, None, || {
+                            extractions.fetch_add(1, Ordering::SeqCst);
+                            // Rendezvous with the *other* key's leader —
+                            // only possible if flights are independent.
+                            leaders.wait();
+                            Ok(features(1.0, 8))
+                        })
+                        .unwrap()
                 }));
             }
         }

@@ -280,39 +280,28 @@ impl ShapeDatabase {
         self.insert_indexed(name, mesh, features)
     }
 
-    /// Inserts a batch of shapes with precomputed features, updating
-    /// each feature space's `dmax` in a single pruned diameter pass
-    /// over the union of stored and incoming points instead of one
-    /// full scan per inserted shape. The resulting `dmax` is exactly
-    /// the value the sequential [`ShapeDatabase::insert_precomputed`]
-    /// path produces (the pruning only skips pairs that provably
-    /// cannot extend the diameter). Ids are assigned in input order.
+    /// Inserts a batch of shapes with precomputed features. Ids are
+    /// assigned in input order, and each feature space's `dmax` ends
+    /// exactly where the sequential
+    /// [`ShapeDatabase::insert_precomputed`] path would leave it.
     ///
     /// When the batch is large relative to the database (bulk corpus
     /// builds, snapshot loads), every index is rebuilt with the STR
-    /// bulk loader instead of inserted into one point at a time —
-    /// packed trees build faster and answer queries with no more node
-    /// accesses. Search results are identical either way: distances
-    /// are computed from the stored vectors, not the tree shape.
+    /// bulk loader instead of inserted into one point at a time, and
+    /// each space's `dmax` is taken from its rebuilt tree
+    /// ([`RTree::diameter`]) instead of one full scan per inserted
+    /// shape. Search results are identical either way: distances are
+    /// computed from the stored vectors, not the tree shape.
     pub fn insert_batch_precomputed(
         &mut self,
         items: Vec<(String, TriMesh, FeatureSet)>,
     ) -> Vec<ShapeId> {
-        for (kind, dmax) in FeatureKind::ALL.into_iter().zip(&mut self.dmax) {
-            let points: Vec<&[f64]> = self
-                .shapes
-                .iter()
-                .map(|s| s.features.get(kind))
-                .chain(items.iter().map(|(_, _, f)| f.get(kind)))
-                .collect();
-            *dmax = diameter_with_bound(&points, *dmax);
-        }
         // A handful of inserts into a large database does not amortize
         // an O(n log n) rebuild of every tree; keep those incremental.
         if items.len() * 4 < self.shapes.len() {
             return items
                 .into_iter()
-                .map(|(name, mesh, features)| self.insert_indexed(name, mesh, features))
+                .map(|(name, mesh, features)| self.insert_precomputed(name, mesh, features))
                 .collect();
         }
         let ids: Vec<ShapeId> = items
@@ -331,6 +320,11 @@ impl ShapeDatabase {
             })
             .collect();
         self.indexes = build_indexes(&self.extractor, &self.shapes, self.index_config());
+        // Every build and insert keeps `dmax` at or above the stored
+        // diameter, so seeding the search with it changes no value.
+        for (tree, dmax) in self.indexes.iter().zip(&mut self.dmax) {
+            *dmax = tree.diameter(*dmax);
+        }
         ids
     }
 
@@ -645,66 +639,6 @@ fn build_indexes(
     })
 }
 
-/// Exact diameter (max pairwise Euclidean distance) of `points`,
-/// seeded with a known lower bound `best` (pairs that cannot beat it
-/// are never evaluated).
-///
-/// Points are sorted by distance `rᵢ` from their centroid; by the
-/// triangle inequality a pair `(i, j)` can only extend the diameter
-/// if `rᵢ + rⱼ` exceeds the current best, so the double loop breaks
-/// out as soon as the sorted radius sums drop below it — in practice
-/// only the outer shell of each feature-space point cloud is ever
-/// compared. The pruning bound carries a conservative slack far
-/// larger than float rounding, so the result is bit-identical to the
-/// full pairwise scan.
-fn diameter_with_bound(points: &[&[f64]], mut best: f64) -> f64 {
-    let Some(first) = points.first() else {
-        return best;
-    };
-    let n = points.len();
-    if n < 2 {
-        return best;
-    }
-    let dim = first.len();
-    let mut centroid = vec![0.0; dim];
-    for p in points {
-        for (c, v) in centroid.iter_mut().zip(*p) {
-            *c += v;
-        }
-    }
-    for c in centroid.iter_mut() {
-        *c /= n as f64;
-    }
-    let mut by_radius: Vec<(f64, usize)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (weighted_distance(p, &centroid, &Weights::unit()), i))
-        .collect();
-    by_radius.sort_by(|a, b| b.0.total_cmp(&a.0));
-    for (a, &(ra, ia)) in by_radius.iter().enumerate() {
-        if 2.0 * ra <= prune_bound(best) {
-            break;
-        }
-        for &(rb, ib) in &by_radius[a + 1..] {
-            if ra + rb <= prune_bound(best) {
-                break;
-            }
-            let d = weighted_distance(points[ia], points[ib], &Weights::unit());
-            if d > best {
-                best = d;
-            }
-        }
-    }
-    best
-}
-
-/// Pairs whose centroid-radius sum is at or below this value provably
-/// cannot beat `best`, even allowing for floating-point rounding in
-/// the radius and distance computations.
-fn prune_bound(best: f64) -> f64 {
-    best - 1e-9 * best.abs().max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,36 +812,6 @@ mod tests {
         assert!(db
             .standardized_weights(FeatureKind::PrincipalMoments)
             .is_unit());
-    }
-
-    #[test]
-    fn diameter_pruning_matches_full_scan() {
-        // Deterministic pseudo-random point clouds; the pruned
-        // diameter must equal the full pairwise maximum exactly.
-        let mut s = 0x1234_5678_9abc_def0u64;
-        let mut rnd = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
-        };
-        for (n, dim) in [(1usize, 3usize), (2, 3), (17, 3), (120, 5), (64, 8)] {
-            let pts: Vec<Vec<f64>> = (0..n).map(|_| (0..dim).map(|_| rnd()).collect()).collect();
-            let refs: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
-            let mut full = 0.0f64;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = weighted_distance(&pts[i], &pts[j], &Weights::unit());
-                    if d > full {
-                        full = d;
-                    }
-                }
-            }
-            assert_eq!(diameter_with_bound(&refs, 0.0), full, "n={n} dim={dim}");
-            // Seeding with the answer (or better) leaves it unchanged.
-            assert_eq!(diameter_with_bound(&refs, full), full);
-            assert_eq!(diameter_with_bound(&refs, full + 1.0), full + 1.0);
-        }
     }
 
     #[test]

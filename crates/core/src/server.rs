@@ -206,9 +206,11 @@ impl SearchServer {
                 // publishes it to coalesced followers as the address
                 // of the one extraction that actually ran.
                 let link = tdess_obs::current_span_link();
-                let (features, outcome) = cache.get_or_extract(key, link, || {
-                    extractor.extract_from_normalized(mesh, &normalized)
-                });
+                let (features, outcome) = cache
+                    .get_or_extract(key, link, || {
+                        extractor.extract_from_normalized(mesh, &normalized)
+                    })
+                    .map_err(DbError::Extraction)?;
                 annotate_cache_outcome(&outcome);
                 Ok(features)
             }
@@ -345,9 +347,9 @@ impl SearchServer {
 /// threads. Returns ids in input order. Extraction failures abort with
 /// the first error encountered (in input order) and leave the database
 /// untouched. Index updates are applied in one batch
-/// ([`ShapeDatabase::insert_batch_precomputed`]), so the per-space
-/// `dmax` maintenance costs one pruned diameter pass per feature
-/// space instead of one full scan per inserted shape.
+/// ([`ShapeDatabase::insert_batch_precomputed`]), so a batch that
+/// rebuilds the trees takes each space's `dmax` from its tree instead
+/// of one full scan per inserted shape.
 pub fn bulk_insert(
     db: &mut ShapeDatabase,
     shapes: Vec<(String, TriMesh)>,

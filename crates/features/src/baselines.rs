@@ -49,14 +49,17 @@ impl Default for D2Params {
 /// pairwise distances between random surface points, with the distance
 /// axis scaled by the mean pair distance (Osada's normalization, which
 /// grants scale invariance). Histogram mass sums to 1; the axis spans
-/// [0, 3·mean].
+/// [0, 3·mean]. A mesh with no surface area to sample has no
+/// distribution: every bin is NaN, which extraction rejects.
 pub fn shape_distribution_d2(mesh: &TriMesh, params: &D2Params) -> Vec<f64> {
     assert!(params.samples >= 2 && params.pairs >= 1 && params.bins >= 1);
     let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
-    let pts = sample_surface(mesh, params.samples, &mut rng);
+    let Some(pts) = sample_surface(mesh, params.samples, &mut rng) else {
+        // hotpath: allow(hot-alloc) — sample pairs and histogram are the computed artifact
+        return vec![f64::NAN; params.bins];
+    };
 
     use rand::Rng;
-    // hotpath: allow(hot-alloc) — sample pairs and histogram are the computed artifact
     let mut dists = Vec::with_capacity(params.pairs);
     for _ in 0..params.pairs {
         let a = rng.gen_range(0..pts.len());
@@ -102,14 +105,17 @@ impl Default for ShellParams {
 /// Computes the shell-model shape histogram: surface samples are
 /// binned by their distance from the solid's centroid, with the radial
 /// axis scaled by the maximum sample radius (scale invariance). Mass
-/// sums to 1.
+/// sums to 1. A mesh with no surface area to sample gets NaN in every
+/// shell, which extraction rejects.
 pub fn shell_histogram(mesh: &TriMesh, params: &ShellParams) -> Vec<f64> {
     assert!(params.samples >= 1 && params.shells >= 1);
     let mut rng = StdRng::seed_from_u64(SAMPLE_SEED ^ 0xA5A5);
-    let pts = sample_surface(mesh, params.samples, &mut rng);
+    let Some(pts) = sample_surface(mesh, params.samples, &mut rng) else {
+        // hotpath: allow(hot-alloc) — shell counts are the computed artifact
+        return vec![f64::NAN; params.shells];
+    };
     let centroid = mesh_moments(mesh).centroid();
 
-    // hotpath: allow(hot-alloc) — shell counts are the computed artifact
     let radii: Vec<f64> = pts.iter().map(|p| p.distance(centroid)).collect();
     let rmax = radii.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
 

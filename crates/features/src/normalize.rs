@@ -34,7 +34,7 @@ pub struct NormalizedModel {
 }
 
 /// Errors from normalization.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NormalizeError {
     /// The mesh has (numerically) zero volume, so scale normalization
     /// is impossible.
@@ -42,6 +42,9 @@ pub enum NormalizeError {
     /// A volume moment of the mesh is NaN or infinite: a non-finite
     /// coordinate, or one so large its moments overflow.
     NonFiniteMoments,
+    /// The mesh normalized, but an extracted feature vector holds a NaN
+    /// or an infinity (a descriptor overflowed on it).
+    NonFiniteFeatures,
 }
 
 impl std::fmt::Display for NormalizeError {
@@ -50,6 +53,9 @@ impl std::fmt::Display for NormalizeError {
             NormalizeError::ZeroVolume => write!(f, "mesh volume is zero; cannot normalize scale"),
             NormalizeError::NonFiniteMoments => {
                 write!(f, "mesh moments are not finite; cannot normalize")
+            }
+            NormalizeError::NonFiniteFeatures => {
+                write!(f, "extracted feature vectors are not finite")
             }
         }
     }
@@ -71,9 +77,12 @@ fn finite(m: Moments) -> Result<Moments, NormalizeError> {
 
 /// Normalizes a mesh to canonical pose per §3.1.
 ///
-/// Fails unless the volume exceeds 1e-12 and every moment computed on
-/// the way is finite, so no caller (the moment invariants read the
-/// same raw moments) meets a NaN or an overflow.
+/// Fails unless the volume exceeds 1e-12 of the bounding box's largest
+/// extent cubed, and every moment computed on the way is finite, so no
+/// caller (the moment invariants read the same raw moments) meets a
+/// NaN or an overflow. The floor scales with the mesh because rounding
+/// noise in the volume does: a flat mesh far from the origin can read
+/// a volume well above any absolute floor.
 ///
 /// ```
 /// use tdess_features::normalize;
@@ -90,7 +99,7 @@ fn finite(m: Moments) -> Result<Moments, NormalizeError> {
 pub fn normalize(mesh: &TriMesh) -> Result<NormalizedModel, NormalizeError> {
     let _stage = tdess_obs::StageTimer::start(tdess_obs::Stage::Normalize);
     let m = finite(mesh_moments(mesh))?;
-    if m.m000 <= 1e-12 {
+    if m.m000 <= 1e-12 * mesh.bounding_box().extent().max_element().powi(3) {
         return Err(NormalizeError::ZeroVolume);
     }
 
@@ -239,5 +248,14 @@ mod tests {
         // A single triangle has no volume.
         let mesh = TriMesh::new(vec![Vec3::ZERO, Vec3::X, Vec3::Y], vec![[0, 1, 2]]);
         assert!(matches!(normalize(&mesh), Err(NormalizeError::ZeroVolume)));
+        // Nor does one that repeats a vertex, though far from the
+        // origin rounding makes its volume moment read far above 1e-12.
+        let v = Vec3::new(1e7, 1e7, 1e7);
+        let far = TriMesh::new(
+            vec![v, v + Vec3::X, Vec3::new(1e7, 1e7 + 1.0, 1e8)],
+            vec![[1, 1, 2]],
+        );
+        assert!(mesh_moments(&far).m000.abs() > 1e-12);
+        assert!(matches!(normalize(&far), Err(NormalizeError::ZeroVolume)));
     }
 }

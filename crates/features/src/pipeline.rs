@@ -152,7 +152,7 @@ impl FeatureExtractor {
             thin,
         } = scratch;
         let (_graph, features) =
-            self.run_pipeline(mesh, &normalized, voxels, skeleton, flood, thin);
+            self.run_pipeline(mesh, &normalized, voxels, skeleton, flood, thin)?;
         Ok(features)
     }
 
@@ -162,13 +162,13 @@ impl FeatureExtractor {
     ///
     /// `normalized` must be [`normalize`]\(`mesh`\)'s output for this
     /// same `mesh`; results are then bit-identical to
-    /// [`FeatureExtractor::extract`]. Reuses the per-thread scratch
-    /// like `extract`.
+    /// [`FeatureExtractor::extract`], errors included. Reuses the
+    /// per-thread scratch like `extract`.
     pub fn extract_from_normalized(
         &self,
         mesh: &TriMesh,
         normalized: &NormalizedModel,
-    ) -> FeatureSet {
+    ) -> Result<FeatureSet, NormalizeError> {
         EXTRACT_SCRATCH.with(|cell| match cell.try_borrow_mut() {
             Ok(mut scratch) => {
                 let ExtractScratch {
@@ -178,7 +178,7 @@ impl FeatureExtractor {
                     thin,
                 } = &mut *scratch;
                 self.run_pipeline(mesh, normalized, voxels, skeleton, flood, thin)
-                    .1
+                    .map(|(_, f)| f)
             }
             // Reentrant call: fresh buffers, same output.
             Err(_) => {
@@ -190,7 +190,7 @@ impl FeatureExtractor {
                     thin,
                 } = &mut scratch;
                 self.run_pipeline(mesh, normalized, voxels, skeleton, flood, thin)
-                    .1
+                    .map(|(_, f)| f)
             }
         })
     }
@@ -209,7 +209,7 @@ impl FeatureExtractor {
             &mut skeleton,
             &mut FloodScratch::default(),
             &mut ThinScratch::default(),
-        );
+        )?;
         Ok(PipelineArtifacts {
             normalized,
             voxels,
@@ -222,7 +222,8 @@ impl FeatureExtractor {
     /// The shared stage sequence: voxelize → thin → prune → graph →
     /// spectrum, plus the mesh-side vectors. Grids and stage scratch
     /// come from the caller; output does not depend on their prior
-    /// contents.
+    /// contents. A mesh can pass normalization yet overflow a
+    /// descriptor, so every vector is checked finite at the end.
     fn run_pipeline(
         &self,
         mesh: &TriMesh,
@@ -231,7 +232,7 @@ impl FeatureExtractor {
         skeleton: &mut VoxelGrid,
         flood: &mut FloodScratch,
         thin: &mut ThinScratch,
-    ) -> (SkeletalGraph, FeatureSet) {
+    ) -> Result<(SkeletalGraph, FeatureSet), NormalizeError> {
         let mi = moment_invariants(&mesh_moments(mesh));
         let gp = geometric_params(mesh, normalized);
         let pm = principal_moments(normalized);
@@ -266,13 +267,14 @@ impl FeatureExtractor {
             shape_distribution: d2,
             shell_histogram: sh,
         };
-        debug_assert!(
-            FeatureKind::ALL
-                .iter()
-                .all(|&k| features.get(k).iter().all(|v| v.is_finite())),
-            "extracted feature vectors must be finite"
-        );
-        (graph, features)
+        if FeatureKind::ALL
+            .iter()
+            .all(|&k| features.get(k).iter().all(|v| v.is_finite()))
+        {
+            Ok((graph, features))
+        } else {
+            Err(NormalizeError::NonFiniteFeatures)
+        }
     }
 
     /// Dimension of the vector produced for `kind` by this extractor.
@@ -312,6 +314,27 @@ mod tests {
         assert_eq!(
             ex.extract(&nan).err(),
             Some(NormalizeError::NonFiniteMoments)
+        );
+    }
+
+    /// A box with one vertex pulled out to 10⁷⁸ has finite moments, but
+    /// its moment invariants overflow to NaN. Its volume is far below
+    /// the scale-relative floor, so `extract` stops at normalization;
+    /// handed a normalized model anyway, the pipeline's own finiteness
+    /// check makes it a typed error in every build, not a NaN feature.
+    #[test]
+    fn overflowing_features_are_typed_errors() {
+        let ex = FeatureExtractor {
+            voxel_resolution: 8,
+            ..Default::default()
+        };
+        let mut far = primitives::box_mesh(Vec3::ONE);
+        far.vertices[1] = Vec3::new(1e78, -1e78, 5e77);
+        assert_eq!(ex.extract(&far).err(), Some(NormalizeError::ZeroVolume));
+        let unit = normalize(&primitives::box_mesh(Vec3::ONE)).unwrap();
+        assert_eq!(
+            ex.extract_from_normalized(&far, &unit).err(),
+            Some(NormalizeError::NonFiniteFeatures)
         );
     }
 

@@ -12,8 +12,9 @@ use crate::vec3::Vec3;
 
 /// Draws `n` points uniformly from the surface of `mesh`
 /// (area-weighted triangle selection + uniform barycentric sampling).
-/// Panics on meshes with zero total surface area.
-pub fn sample_surface(mesh: &TriMesh, n: usize, rng: &mut StdRng) -> Vec<Vec3> {
+/// `None` when the total surface area is zero or not finite: there is
+/// no surface to sample.
+pub fn sample_surface(mesh: &TriMesh, n: usize, rng: &mut StdRng) -> Option<Vec<Vec3>> {
     // Cumulative area table for triangle selection by binary search.
     let mut cum = Vec::with_capacity(mesh.num_triangles());
     let mut total = 0.0;
@@ -21,9 +22,11 @@ pub fn sample_surface(mesh: &TriMesh, n: usize, rng: &mut StdRng) -> Vec<Vec3> {
         total += 0.5 * (b - a).cross(c - a).norm();
         cum.push(total);
     }
-    assert!(total > 0.0, "cannot sample a zero-area mesh");
+    if !(total > 0.0 && total.is_finite()) {
+        return None;
+    }
 
-    (0..n)
+    let points = (0..n)
         .map(|_| {
             let t = rng.gen_range(0.0..total);
             let idx = cum.partition_point(|&x| x < t).min(cum.len() - 1);
@@ -36,7 +39,8 @@ pub fn sample_surface(mesh: &TriMesh, n: usize, rng: &mut StdRng) -> Vec<Vec3> {
             a * (1.0 - s) + b * (s * (1.0 - r2)) + c * (s * r2)
         })
         // hotpath: allow(hot-alloc) — the sampled point set is the returned artifact
-        .collect()
+        .collect();
+    Some(points)
 }
 
 #[cfg(test)]
@@ -49,7 +53,7 @@ mod tests {
     fn samples_lie_on_the_surface() {
         let mesh = primitives::box_mesh(Vec3::new(2.0, 1.0, 0.5));
         let mut rng = StdRng::seed_from_u64(1);
-        let pts = sample_surface(&mesh, 500, &mut rng);
+        let pts = sample_surface(&mesh, 500, &mut rng).unwrap();
         assert_eq!(pts.len(), 500);
         // Every sample lies on one of the box faces: one coordinate at
         // the half-extent.
@@ -67,7 +71,7 @@ mod tests {
         // receive far fewer samples than the four long faces.
         let mesh = primitives::box_mesh(Vec3::new(10.0, 1.0, 1.0));
         let mut rng = StdRng::seed_from_u64(2);
-        let pts = sample_surface(&mesh, 4000, &mut rng);
+        let pts = sample_surface(&mesh, 4000, &mut rng).unwrap();
         let on_ends = pts
             .iter()
             .filter(|p| (p.x.abs() - 5.0).abs() < 1e-12)
@@ -81,8 +85,8 @@ mod tests {
     #[test]
     fn deterministic_for_seed() {
         let mesh = primitives::uv_sphere(1.0, 16, 8);
-        let a = sample_surface(&mesh, 50, &mut StdRng::seed_from_u64(7));
-        let b = sample_surface(&mesh, 50, &mut StdRng::seed_from_u64(7));
+        let a = sample_surface(&mesh, 50, &mut StdRng::seed_from_u64(7)).unwrap();
+        let b = sample_surface(&mesh, 50, &mut StdRng::seed_from_u64(7)).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x, y);
@@ -93,10 +97,25 @@ mod tests {
     fn sphere_samples_at_radius() {
         let mesh = primitives::uv_sphere(1.0, 32, 16);
         let mut rng = StdRng::seed_from_u64(3);
-        for p in sample_surface(&mesh, 200, &mut rng) {
+        for p in sample_surface(&mesh, 200, &mut rng).unwrap() {
             // On a chord-approximated sphere the radius is slightly
             // below 1 but never above.
             assert!(p.norm() <= 1.0 + 1e-9 && p.norm() > 0.9, "{}", p.norm());
         }
+    }
+
+    /// Zero or overflowing area has no surface to sample: `None`, not
+    /// a panic. The triangle repeats a vertex, so its area is zero.
+    #[test]
+    fn zero_area_is_none() {
+        let v = Vec3::new(1e7, 1e7, 1e7);
+        let mesh = TriMesh::new(
+            vec![v, v + Vec3::X, Vec3::new(1e7, 1e7 + 1.0, 1e8)],
+            vec![[1, 1, 2]],
+        );
+        assert!(sample_surface(&mesh, 10, &mut StdRng::seed_from_u64(1)).is_none());
+        let mut huge = primitives::box_mesh(Vec3::ONE);
+        huge.scale_uniform(1e300);
+        assert!(sample_surface(&huge, 10, &mut StdRng::seed_from_u64(1)).is_none());
     }
 }

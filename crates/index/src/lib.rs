@@ -1,10 +1,11 @@
 //! # tdess-index — multidimensional access methods for 3DESS
 //!
 //! Implements §2.3 of the paper: an R-tree index over feature-space
-//! points (Guttman quadratic split; the paper's two query types,
-//! similarity-ball and best-first kNN with MINDIST pruning) plus a
-//! linear-scan baseline, both instrumented with node-access counters
-//! for the index-efficiency experiment.
+//! points (packed and split along the axes where the points spread;
+//! the paper's two query types, similarity-ball and best-first kNN
+//! with MINDIST pruning; the exact diameter that normalizes
+//! similarity) plus a linear-scan baseline, both instrumented with
+//! node-access counters for the index-efficiency experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -32,12 +32,6 @@ impl Rect {
         Rect { min, max }
     }
 
-    /// Whether every min coordinate is ≤ its max — false for
-    /// inverted corners and for NaN holes. Used by debug assertions.
-    pub fn is_ordered(&self) -> bool {
-        self.min.len() == self.max.len() && self.min.iter().zip(&self.max).all(|(a, b)| a <= b)
-    }
-
     /// Dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -64,27 +58,23 @@ impl Rect {
         }
     }
 
-    /// The smallest rectangle covering both inputs.
-    pub fn union(&self, other: &Rect) -> Rect {
-        // hotpath: allow(hot-alloc) — the merged rect owns its bounds
-        let mut r = self.clone();
-        r.union_in_place(other);
-        r
-    }
-
-    /// Hyper-volume (product of side lengths).
-    pub fn volume(&self) -> f64 {
-        self.min.iter().zip(&self.max).map(|(a, b)| b - a).product()
-    }
-
-    /// Sum of side lengths (the "margin", used as a split tiebreak).
+    /// Sum of side lengths (the "margin"): the cost node splits
+    /// minimize and the insert descent breaks ties by.
     pub fn margin(&self) -> f64 {
         self.min.iter().zip(&self.max).map(|(a, b)| b - a).sum()
     }
 
-    /// Volume increase needed to cover `other`.
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).volume() - self.volume()
+    /// How much the margin grows to cover `p`: the L1 distance from
+    /// the point to the rectangle, zero when the point is inside.
+    /// Unlike volume it stays informative when the rectangle is flat
+    /// on some axis, as many feature-space boxes are.
+    pub fn margin_enlargement(&self, p: &[f64]) -> f64 {
+        self.min
+            .iter()
+            .zip(&self.max)
+            .zip(p)
+            .map(|((lo, hi), x)| (lo - x).max(x - hi).max(0.0))
+            .sum()
     }
 
     /// Whether the rectangle contains the point (boundary inclusive).
@@ -115,6 +105,21 @@ impl Rect {
             })
             .sum()
     }
+
+    /// Squared MAXDIST between two rectangles: the squared distance
+    /// of their farthest corners. Rounding is monotone, so no two
+    /// points inside the rectangles are farther apart in floating
+    /// point either ([`crate::RTree::diameter`] prunes on this bound).
+    pub fn max_dist_sq(&self, other: &Rect) -> f64 {
+        let mut acc = 0.0;
+        for d in 0..self.dim() {
+            let far = (self.max[d] - other.min[d])
+                .abs()
+                .max((other.max[d] - self.min[d]).abs());
+            acc += far * far;
+        }
+        acc
+    }
 }
 
 #[cfg(test)]
@@ -124,23 +129,32 @@ mod tests {
     #[test]
     fn point_rect_is_degenerate() {
         let r = Rect::from_point(&[1.0, 2.0, 3.0]);
-        assert_eq!(r.volume(), 0.0);
+        assert_eq!(r.margin(), 0.0);
         assert!(r.contains_point(&[1.0, 2.0, 3.0]));
         assert!(!r.contains_point(&[1.0, 2.0, 3.1]));
     }
 
     #[test]
-    fn union_and_enlargement() {
+    fn margin_enlargement_is_the_l1_distance_to_the_box() {
         let a = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let b = Rect::new(vec![2.0, 0.5], vec![3.0, 2.0]);
-        let u = a.union(&b);
-        assert_eq!(u.min, vec![0.0, 0.0]);
-        assert_eq!(u.max, vec![3.0, 2.0]);
-        assert_eq!(u.volume(), 6.0);
-        assert_eq!(a.enlargement(&b), 6.0 - 1.0);
-        // Union with a contained rect costs nothing.
-        let c = Rect::new(vec![0.2, 0.2], vec![0.8, 0.8]);
-        assert_eq!(a.enlargement(&c), 0.0);
+        assert_eq!(a.margin_enlargement(&[3.0, 0.5]), 2.0);
+        assert_eq!(a.margin_enlargement(&[-1.0, 3.0]), 3.0);
+        // A point inside (or on the boundary) costs nothing.
+        assert_eq!(a.margin_enlargement(&[0.2, 1.0]), 0.0);
+        // A flat box still tells points apart.
+        let flat = Rect::new(vec![0.0, 0.0], vec![4.0, 0.0]);
+        assert!(flat.margin_enlargement(&[1.0, 0.5]) < flat.margin_enlargement(&[1.0, 2.0]));
+    }
+
+    #[test]
+    fn max_dist_is_between_farthest_corners() {
+        let a = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let b = Rect::new(vec![3.0, -1.0], vec![4.0, 0.5]);
+        // x: 4 − 0; y: max(0.5 − 0, 1 − (−1)) = 2.
+        assert_eq!(a.max_dist_sq(&b), 16.0 + 4.0);
+        assert_eq!(a.max_dist_sq(&b), b.max_dist_sq(&a));
+        // A rectangle against itself: its squared diagonal.
+        assert_eq!(a.max_dist_sq(&a), 2.0);
     }
 
     #[test]

@@ -1,9 +1,19 @@
 //! An R-tree over feature-space points (§2.3 of the paper).
 //!
-//! Classic Guttman R-tree with quadratic split, storing points at the
-//! leaves. Supports the paper's two query types: similarity-ball
-//! queries and best-first k-nearest-neighbor search with MINDIST pruning
-//! (Roussopoulos et al. / Hjaltason & Samet). All traversals are
+//! Points are stored at the leaves. The feature spaces run from 3 to
+//! 64 dimensions, and many of their axes are constant over a whole
+//! database (the shell histogram's innermost shells are empty for
+//! every shape), so every partition of the tree cuts along the axes
+//! where its entries actually spread: STR bulk loading tiles on the
+//! widest axes, and an overflowing node is split along its widest axis
+//! where the two halves' margins sum least. An insert descends into
+//! the child whose box grows least in margin; unlike volume, margin
+//! stays informative when a box is flat on some axis.
+//!
+//! Supports the paper's two query types, similarity-ball queries and
+//! best-first k-nearest-neighbor search with MINDIST pruning
+//! (Roussopoulos et al. / Hjaltason & Samet), plus the exact diameter
+//! of the stored points by a dual-tree branch and bound. Queries are
 //! instrumented with node-access counters so the index-efficiency
 //! experiment can compare against a linear scan.
 //!
@@ -13,6 +23,8 @@
 //! database snapshot derived from another for one insert or remove
 //! costs what the write changes, not the size of the tree.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -188,16 +200,16 @@ impl<T: Clone> RTree<T> {
     /// Builds a tree from a batch of points in one pass using
     /// sort-tile-recursive (STR) packing (Leutenegger et al.).
     ///
-    /// Points are partitioned into even slabs by their first
-    /// coordinate (quantile selection, no full sort), and each slab
-    /// recursively tiled on the remaining axes until a tile fits in
-    /// one leaf; upper levels are packed the same way on node-rect
-    /// centers. Tiles are split as evenly as possible, so every node
+    /// Each level is tiled on the [`STR_TILE_AXES`] axes along which
+    /// its entries spread widest (points at the leaf level, node-rect
+    /// centers above): the entries are partitioned into even slabs on
+    /// the widest axis (quantile selection, no full sort), and each
+    /// slab recursively tiled on the next until a tile fits in one
+    /// node. Tiles are split as evenly as possible, so every node
     /// holds at least `max_entries / 2 ≥ min_entries` entries and the
     /// result satisfies [`RTree::check_invariants`]. Compared to
     /// repeated [`RTree::insert`], the packed tree is built in near
-    /// linear time instead of amortized quadratic-split work, and its
-    /// full, low-overlap nodes need no more node accesses per query.
+    /// linear time, with full, low-overlap nodes.
     ///
     /// Deterministic: the same entry sequence produces a byte-identical
     /// tree (keys compared with `total_cmp`, ties broken by position,
@@ -218,18 +230,14 @@ impl<T: Clone> RTree<T> {
             debug_assert!(p.iter().all(|v| v.is_finite()), "point must be finite");
         }
         let len = entries.len();
-        let tile_axes = dim.min(STR_TILE_AXES);
         // Tile indices, not entries: the sorts move one machine word
         // per element instead of a (point, payload) tuple, and the
         // entries themselves move exactly once, into their leaf.
-        let mut leaf_index_groups: Vec<Vec<usize>> = Vec::new();
-        str_tile(
+        let leaf_index_groups = str_pack(
             (0..len).collect(),
-            0,
-            tile_axes,
+            dim,
             config.max_entries,
             &|&i: &usize, axis| entries[i].0[axis],
-            &mut leaf_index_groups,
         );
         let mut slots: Vec<Option<(Vec<f64>, T)>> = entries.into_iter().map(Some).collect();
         let mut level: Vec<(Rect, Node<T>)> = leaf_index_groups
@@ -245,16 +253,7 @@ impl<T: Clone> RTree<T> {
             })
             .collect();
         while level.len() > 1 {
-            let mut groups: Vec<Vec<(Rect, Node<T>)>> = Vec::new();
-            str_tile(
-                level,
-                0,
-                tile_axes,
-                config.max_entries,
-                &|e: &(Rect, Node<T>), axis| e.0.center(axis),
-                &mut groups,
-            );
-            level = groups
+            level = str_pack(level, dim, config.max_entries, &|e, axis| e.0.center(axis))
                 .into_iter()
                 .map(|g| {
                     let node = Node::Inner(g.into());
@@ -330,52 +329,30 @@ impl<T: Clone> RTree<T> {
                 let mut copy = path_copy(entries, 1);
                 copy.push((point, payload));
                 if copy.len() > config.max_entries {
-                    let (a, b) = split_leaf(copy, config);
-                    let ra = a.bounding_rect(dim);
-                    let rb = b.bounding_rect(dim);
-                    debug_assert!(
-                        ra.is_ordered() && rb.is_ordered(),
-                        "leaf split produced an inverted bounding rect"
-                    );
-                    return Some((ra, a, rb, b));
+                    let (a, b) = split(copy, dim, config.min_entries, |(p, _), axis| {
+                        (p[axis], p[axis])
+                    });
+                    let (a, b) = (Node::Leaf(a.into()), Node::Leaf(b.into()));
+                    return Some((a.bounding_rect(dim), a, b.bounding_rect(dim), b));
                 }
                 *entries = copy.into();
                 None
             }
             Node::Inner(entries) => {
-                // ChooseLeaf: least enlargement, ties by smallest volume.
-                let pr = Rect::from_point(&point);
-                let mut best = 0usize;
-                let mut best_enl = f64::INFINITY;
-                let mut best_vol = f64::INFINITY;
-                for (i, (r, _)) in entries.iter().enumerate() {
-                    let enl = r.enlargement(&pr);
-                    let vol = r.volume();
-                    if enl < best_enl || (enl == best_enl && vol < best_vol) {
-                        best = i;
-                        best_enl = enl;
-                        best_vol = vol;
-                    }
-                }
+                let best = choose_subtree(entries, &point);
                 let mut copy = path_copy(entries, 1);
                 match Self::insert_rec(&mut copy[best].1, point, payload, config, dim) {
-                    None => {
-                        // Tighten the bounding rect.
-                        copy[best].0 = copy[best].1.bounding_rect(dim);
-                    }
+                    // Tighten the bounding rect.
+                    None => copy[best].0 = copy[best].1.bounding_rect(dim),
                     Some((ra, a, rb, b)) => {
-                        copy.remove(best);
-                        copy.push((ra, a));
+                        copy[best] = (ra, a);
                         copy.push((rb, b));
                         if copy.len() > config.max_entries {
-                            let (x, y) = split_inner(copy, config);
-                            let rx = x.bounding_rect(dim);
-                            let ry = y.bounding_rect(dim);
-                            debug_assert!(
-                                rx.is_ordered() && ry.is_ordered(),
-                                "inner split produced an inverted bounding rect"
-                            );
-                            return Some((rx, x, ry, y));
+                            let (x, y) = split(copy, dim, config.min_entries, |(r, _), axis| {
+                                (r.min[axis], r.max[axis])
+                            });
+                            let (x, y) = (Node::Inner(x.into()), Node::Inner(y.into()));
+                            return Some((x.bounding_rect(dim), x, y.bounding_rect(dim), y));
                         }
                     }
                 }
@@ -509,99 +486,139 @@ impl<T: Clone> RTree<T> {
     }
 
     /// The `k` nearest neighbors of `center`, nearest first, via
-    /// best-first search on a priority queue of MINDIST values.
+    /// best-first search bounded by the k-th best distance so far.
     ///
-    /// Equal distances come out in payload order, as in
-    /// [`RTree::within_distance`]. The heap orders entries by squared
-    /// distance, then nodes before points, then payload. A node's
-    /// MINDIST never exceeds the distance of a point beneath it, so by
-    /// the time a point is emitted every point tied with it is already
-    /// in the heap, and the payload order decides among them.
+    /// A queue holds the nodes to visit in MINDIST order, and a
+    /// max-heap the `k` best points seen, by (squared distance,
+    /// payload). The search stops at the first node whose MINDIST
+    /// exceeds the k-th distance: no point beneath it can enter the
+    /// top `k`, not even on a tie. A point's squared distance stops
+    /// accumulating once it passes the k-th, since the remaining terms
+    /// are non-negative. Equal distances come out in payload order, as
+    /// in [`RTree::within_distance`], so the answer depends only on
+    /// the stored points; the nodes expanded are those whose MINDIST
+    /// is at most the final k-th distance.
     pub fn knn(&self, center: &[f64], k: usize, stats: &mut QueryStats) -> Vec<(&[f64], &T, f64)>
     where
         T: Ord,
     {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-
-        enum Item<'a, T> {
-            Node(&'a Node<T>),
-            Point(&'a [f64], &'a T),
+        if k == 0 {
+            // hotpath: allow(hot-alloc) — the hit list is the returned artifact; the node queue and the k best are the query's working set
+            return Vec::new();
         }
-
-        struct HeapEntry<'a, T> {
-            d2: f64,
-            item: Item<'a, T>,
-        }
-        impl<T: Ord> PartialEq for HeapEntry<'_, T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == Ordering::Equal
-            }
-        }
-        impl<T: Ord> Eq for HeapEntry<'_, T> {}
-        impl<T: Ord> PartialOrd for HeapEntry<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T: Ord> Ord for HeapEntry<'_, T> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Reversed throughout: BinaryHeap is a max-heap, and
-                // the entry to pop first must compare greatest.
-                other
-                    .d2
-                    .total_cmp(&self.d2)
-                    .then_with(|| match (&self.item, &other.item) {
-                        (Item::Node(_), Item::Node(_)) => Ordering::Equal,
-                        (Item::Node(_), Item::Point(..)) => Ordering::Greater,
-                        (Item::Point(..), Item::Node(_)) => Ordering::Less,
-                        (Item::Point(_, a), Item::Point(_, b)) => b.cmp(a),
-                    })
-            }
-        }
-
-        let mut heap: BinaryHeap<HeapEntry<'_, T>> = BinaryHeap::new();
-        heap.push(HeapEntry {
-            d2: 0.0,
-            item: Item::Node(&self.root),
-        });
+        let mut queue = BinaryHeap::new();
+        queue.push(Reverse((0, Carried(&self.root))));
         // `k` comes from the request: a top-k past the stored count
         // must not size the allocation.
-        let mut out = Vec::with_capacity(k.min(self.len));
-
-        while let Some(HeapEntry { d2, item }) = heap.pop() {
-            if out.len() >= k {
+        let mut best: BinaryHeap<Hit<'_, T>> = BinaryHeap::with_capacity(k.min(self.len));
+        while let Some(Reverse((min_d2, Carried(node)))) = queue.pop() {
+            if f64::from_bits(min_d2) > kth(&best, k) {
                 break;
             }
-            match item {
-                Item::Point(p, t) => out.push((p, t, d2.sqrt())),
-                Item::Node(node) => {
-                    stats.nodes_visited += 1;
-                    match node {
-                        Node::Leaf(entries) => {
-                            stats.leaves_visited += 1;
-                            for (p, t) in entries.iter() {
-                                stats.entries_checked += 1;
-                                heap.push(HeapEntry {
-                                    d2: dist_sq(p, center),
-                                    item: Item::Point(p, t),
-                                });
+            stats.nodes_visited += 1;
+            match node {
+                Node::Leaf(entries) => {
+                    stats.leaves_visited += 1;
+                    for (p, t) in entries.iter() {
+                        stats.entries_checked += 1;
+                        let Some(d2) = dist_sq_within(p, center, kth(&best, k)) else {
+                            continue;
+                        };
+                        let hit = (d2.to_bits(), t, Carried(p.as_slice()));
+                        if best.len() < k {
+                            best.push(hit);
+                        } else if let Some(mut worst) = best.peek_mut() {
+                            if hit < *worst {
+                                *worst = hit;
                             }
                         }
-                        Node::Inner(entries) => {
-                            for (r, child) in entries.iter() {
-                                stats.entries_checked += 1;
-                                heap.push(HeapEntry {
-                                    d2: r.min_dist_sq(center),
-                                    item: Item::Node(child),
-                                });
-                            }
+                    }
+                }
+                Node::Inner(entries) => {
+                    let bound = kth(&best, k);
+                    for (r, child) in entries.iter() {
+                        stats.entries_checked += 1;
+                        let d2 = r.min_dist_sq(center);
+                        if d2 <= bound {
+                            queue.push(Reverse((d2.to_bits(), Carried(child))));
                         }
                     }
                 }
             }
         }
+        let mut out: Vec<_> = best
+            .into_iter()
+            .map(|(d2, t, Carried(p))| (p, t, f64::from_bits(d2)))
+            .collect();
+        sort_hits(&mut out);
         out
+    }
+
+    /// The largest Euclidean distance between two stored points, or
+    /// `at_least` if that is larger: bit for bit the maximum of
+    /// `sqrt(Σ (aᵢ − bᵢ)²)` over all pairs, summed in axis order.
+    ///
+    /// A farthest-point sweep first finds a far pair. A dual-tree
+    /// branch and bound then visits node pairs farthest first, and
+    /// skips a pair only when its squared MAXDIST
+    /// ([`Rect::max_dist_sq`]) cannot exceed the best pair found so
+    /// far. Rounding is monotone, so no pair of points beneath a
+    /// skipped pair is farther apart in floating point either.
+    pub fn diameter(&self, at_least: f64) -> f64 {
+        // The best squared distance of a pair found so far, seeded by
+        // hopping to the point farthest from the last while that grows.
+        let mut best = 0.0;
+        let points = self.iter();
+        let mut from = points.first().map(|&(p, _)| p);
+        while let Some(a) = from.take() {
+            for &(p, _) in &points {
+                let d2 = dist_sq(a, p);
+                if d2 > best {
+                    (best, from) = (d2, Some(p));
+                }
+            }
+        }
+        let beats = |bound: f64, best: f64| bound > best && bound.sqrt() > at_least;
+        let root = (self.root.bounding_rect(self.dim), self.root.clone());
+        let mut pairs = BinaryHeap::new();
+        pairs.push((
+            root.0.max_dist_sq(&root.0).to_bits(),
+            Carried((&root, &root)),
+        ));
+        while let Some((bound, Carried((a, b)))) = pairs.pop() {
+            if !beats(f64::from_bits(bound), best) {
+                break;
+            }
+            // A node paired with itself: each pair of its children (or
+            // points) once.
+            let same = std::ptr::eq(a, b);
+            if let (Node::Leaf(pa), Node::Leaf(pb)) = (&a.1, &b.1) {
+                for (i, (p, _)) in pa.iter().enumerate() {
+                    for (q, _) in &pb[if same { i + 1 } else { 0 }..] {
+                        best = f64::max(best, dist_sq(p, q));
+                    }
+                }
+                continue;
+            }
+            // Descend both sides. Leaves share one depth, so they meet
+            // leaves; should they not, a leaf side stands for itself.
+            fn children<T>(side: &(Rect, Node<T>)) -> &[(Rect, Node<T>)] {
+                match &side.1 {
+                    Node::Inner(c) => c,
+                    Node::Leaf(_) => std::slice::from_ref(side),
+                }
+            }
+            let (xs, ys) = (children(a), children(b));
+            for (i, x) in xs.iter().enumerate() {
+                for y in &ys[if same { i } else { 0 }..] {
+                    let bound = x.0.max_dist_sq(&y.0);
+                    if beats(bound, best) {
+                        pairs.push((bound.to_bits(), Carried((x, y))));
+                    }
+                }
+            }
+        }
+        f64::sqrt(best).max(at_least)
     }
 
     /// Iterates over all stored (point, payload) pairs.
@@ -736,43 +753,76 @@ fn nth_root_ceil(target: usize, k: usize) -> usize {
     r
 }
 
-/// Number of axes STR tiling actually sorts on. Tiling every axis of a
-/// 64-dimensional histogram space degenerates into ~log₂(nodes) binary
-/// slab splits — a full stable sort of the level per axis — while the
-/// packing quality comes almost entirely from the first few axes.
-/// Capping keeps bulk builds at a constant number of sorting passes
-/// regardless of feature dimensionality.
+/// Number of axes STR tiling sorts on: the widest-spread ones. Tiling
+/// every axis of a 64-dimensional histogram space degenerates into
+/// ~log₂(nodes) binary slab splits — a pass over the level per axis —
+/// while the packing quality comes almost entirely from the few axes
+/// along which the entries spread most. Capping keeps bulk builds at
+/// a constant number of passes regardless of feature dimensionality.
 const STR_TILE_AXES: usize = 3;
 
+/// Axes ordered by the spread of `key` over `items` (largest minus
+/// smallest value), widest first, equal spreads in axis order: the one
+/// rule by which STR tiling and node splits choose where to cut.
+fn axes_by_spread<I>(items: &[I], dim: usize, key: &impl Fn(&I, usize) -> f64) -> Vec<usize> {
+    // hotpath: allow(hot-alloc) — per-partition scratch sized by the dimension
+    let (mut lo, mut hi) = (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]);
+    for it in items {
+        for axis in 0..dim {
+            let v = key(it, axis);
+            lo[axis] = lo[axis].min(v);
+            hi[axis] = hi[axis].max(v);
+        }
+    }
+    let mut axes: Vec<usize> = (0..dim).collect();
+    axes.sort_by(|&a, &b| (hi[b] - lo[b]).total_cmp(&(hi[a] - lo[a])));
+    axes
+}
+
+/// Packs one tree level: tiles `items` on the [`STR_TILE_AXES`] axes
+/// along which `key` spreads widest.
+fn str_pack<I>(
+    items: Vec<I>,
+    dim: usize,
+    max: usize,
+    key: &impl Fn(&I, usize) -> f64,
+) -> Vec<Vec<I>> {
+    let axes = axes_by_spread(&items, dim, key);
+    let mut groups = Vec::new();
+    str_tile(
+        items,
+        &axes[..dim.min(STR_TILE_AXES)],
+        max,
+        key,
+        &mut groups,
+    );
+    groups
+}
+
 /// Sort-tile-recursive partitioning: partitions `items` into even
-/// slabs by their `axis` coordinate and recurses on the next axis
-/// until a tile fits in one node of `max` entries. Every emitted
-/// group holds at least `max/2` items (when more than `max` items are
-/// tiled), because slab and chunk boundaries are distributed evenly.
-/// Slabs are carved out with [`split_even`] rather than a full sort —
-/// STR needs quantile membership, not sorted order.
-///
-/// `dim` is the number of axes to tile over, already capped by the
-/// caller (see [`STR_TILE_AXES`]), not the full point dimensionality.
+/// slabs by their coordinate on the first of `axes` and recurses on
+/// the rest until a tile fits in one node of `max` entries. Every
+/// emitted group holds at least `max/2` items (when more than `max`
+/// items are tiled), because slab and chunk boundaries are distributed
+/// evenly. Slabs are carved out with [`split_even`] rather than a full
+/// sort — STR needs quantile membership, not sorted order.
 fn str_tile<I>(
     items: Vec<I>,
-    axis: usize,
-    dim: usize,
+    axes: &[usize],
     max: usize,
     key: &impl Fn(&I, usize) -> f64,
     out: &mut Vec<Vec<I>>,
 ) {
     let n = items.len();
-    if n <= max {
+    let Some((&axis, rest)) = axes.split_first().filter(|_| n > max) else {
         out.push(items);
         return;
-    }
+    };
     let nodes = n.div_ceil(max);
-    let axes_left = dim - axis;
-    let parts = if axes_left <= 1 {
+    let parts = if rest.is_empty() {
         nodes
     } else {
-        nth_root_ceil(nodes, axes_left)
+        nth_root_ceil(nodes, axes.len())
     };
     // Decorate with (key, position): each comparison reads two inline
     // f64s instead of chasing the key closure's indirections.
@@ -785,12 +835,77 @@ fn str_tile<I>(
     split_even(dec, parts, &mut groups);
     for group in groups {
         let slab: Vec<I> = group.into_iter().map(|(_, _, it)| it).collect();
-        if axes_left <= 1 {
+        if rest.is_empty() {
             out.push(slab);
         } else {
-            str_tile(slab, axis + 1, dim, max, key, out);
+            str_tile(slab, rest, max, key, out);
         }
     }
+}
+
+/// Splits an overflowing node's entries, whose extent on an axis is
+/// `bounds(entry, axis)`, in two. They are sorted along their widest
+/// axis ([`axes_by_spread`]) and cut where the two halves' margins sum
+/// least, with at least `min` entries on each side; of equal sums the
+/// first cut wins.
+fn split<E>(
+    mut entries: Vec<E>,
+    dim: usize,
+    min: usize,
+    bounds: impl Fn(&E, usize) -> (f64, f64),
+) -> (Vec<E>, Vec<E>) {
+    // Twice the center: it sorts entries as the center does.
+    let key = |e: &E, axis| {
+        let (lo, hi) = bounds(e, axis);
+        lo + hi
+    };
+    let axis = axes_by_spread(&entries, dim, &key)[0];
+    entries.sort_by(|a, b| key(a, axis).total_cmp(&key(b, axis)));
+    let n = entries.len();
+    // hotpath: allow(hot-alloc) — per-split sweep state, sized by the fan-out and the dimension
+    let (mut lo, mut hi) = (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]);
+    // The margin of `entries[i..]`, for every cut `i` a split may use.
+    let mut right = vec![0.0; n];
+    for i in (min..n).rev() {
+        right[i] = widen(&mut lo, &mut hi, |axis| bounds(&entries[i], axis));
+    }
+    lo.fill(f64::INFINITY);
+    hi.fill(f64::NEG_INFINITY);
+    let mut best = (f64::INFINITY, min);
+    for (i, e) in entries[..n - min].iter().enumerate() {
+        let left = widen(&mut lo, &mut hi, |axis| bounds(e, axis));
+        let cut = i + 1;
+        if cut >= min && left + right[cut] < best.0 {
+            best = (left + right[cut], cut);
+        }
+    }
+    let tail = entries.split_off(best.1);
+    (entries, tail)
+}
+
+/// Widens the box `lo..hi` to cover an entry whose extent on an axis
+/// is `bounds(axis)`; returns the box's new margin.
+fn widen(lo: &mut [f64], hi: &mut [f64], bounds: impl Fn(usize) -> (f64, f64)) -> f64 {
+    let mut margin = 0.0;
+    for axis in 0..lo.len() {
+        let (l, h) = bounds(axis);
+        lo[axis] = lo[axis].min(l);
+        hi[axis] = hi[axis].max(h);
+        margin += hi[axis] - lo[axis];
+    }
+    margin
+}
+
+/// ChooseSubtree: the child whose box needs the least margin
+/// enlargement to cover `point`, ties to the smaller margin, then to
+/// the lower index. Reads the rects in place; builds none.
+fn choose_subtree<T>(entries: &[(Rect, Node<T>)], point: &[f64]) -> usize {
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, (r, _))| (r.margin_enlargement(point), r.margin(), i))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)))
+        .map_or(0, |(_, _, i)| i)
 }
 
 /// Collects all leaf entries beneath `node` into `out`.
@@ -830,122 +945,54 @@ pub(crate) fn sort_hits<T: Ord>(hits: &mut [(&[f64], &T, f64)]) {
     }
 }
 
-/// Quadratic split (Guttman): pick the pair of entries wasting the
-/// most area as seeds, then assign the rest greedily by enlargement.
-fn split_leaf<T>(entries: Vec<(Vec<f64>, T)>, config: &RTreeConfig) -> (Node<T>, Node<T>) {
-    // hotpath: allow(hot-alloc) — node splits move entries into the two new nodes
-    let rects: Vec<Rect> = entries.iter().map(|(p, _)| Rect::from_point(p)).collect();
-    let (ga, gb) = quadratic_split_assign(&rects, config);
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    for (i, e) in entries.into_iter().enumerate() {
-        if ga.contains(&i) {
-            a.push(e);
-        } else {
-            debug_assert!(gb.contains(&i));
-            b.push(e);
+/// `dist_sq(a, b)` if it is at most `bound`, else `None`. The sum runs
+/// in the same order, so a returned value has the same bits; it stops
+/// once the partial sum passes `bound`, as the terms are non-negative.
+fn dist_sq_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
+    let mut acc = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        acc += (x - y) * (x - y);
+        if acc > bound {
+            return None;
         }
     }
-    (Node::Leaf(a.into()), Node::Leaf(b.into()))
+    Some(acc)
 }
 
-fn split_inner<T>(entries: Vec<(Rect, Node<T>)>, config: &RTreeConfig) -> (Node<T>, Node<T>) {
-    // hotpath: allow(hot-alloc) — node splits move entries into the two new nodes
-    let rects: Vec<Rect> = entries.iter().map(|(r, _)| r.clone()).collect();
-    let (ga, gb) = quadratic_split_assign(&rects, config);
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    for (i, e) in entries.into_iter().enumerate() {
-        if ga.contains(&i) {
-            a.push(e);
-        } else {
-            debug_assert!(gb.contains(&i));
-            b.push(e);
-        }
+/// A value that rides along in a heap entry without taking part in
+/// its order. The entries' keys are squared distances as bits:
+/// non-negative floats order like their bit patterns, as `total_cmp`
+/// orders them.
+struct Carried<V>(V);
+
+impl<V> PartialEq for Carried<V> {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
-    (Node::Inner(a.into()), Node::Inner(b.into()))
+}
+impl<V> Eq for Carried<V> {}
+impl<V> PartialOrd for Carried<V> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<V> Ord for Carried<V> {
+    fn cmp(&self, _: &Self) -> Ordering {
+        Ordering::Equal
+    }
 }
 
-/// Returns the index sets of the two split groups.
-fn quadratic_split_assign(
-    rects: &[Rect],
-    config: &RTreeConfig,
-) -> (
-    std::collections::HashSet<usize>,
-    std::collections::HashSet<usize>,
-) {
-    let n = rects.len();
-    debug_assert!(n >= 2);
-    // PickSeeds: pair with the greatest dead space.
-    let (mut s1, mut s2, mut worst) = (0usize, 1usize, f64::NEG_INFINITY);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dead = rects[i].union(&rects[j]).volume() - rects[i].volume() - rects[j].volume();
-            if dead > worst {
-                worst = dead;
-                s1 = i;
-                s2 = j;
-            }
-        }
-    }
-    let mut ga: std::collections::HashSet<usize> = [s1].into();
-    let mut gb: std::collections::HashSet<usize> = [s2].into();
-    // hotpath: allow(hot-alloc) — seed rects for the quadratic split are per-split state
-    let mut ra = rects[s1].clone();
-    let mut rb = rects[s2].clone();
-    let mut rest: Vec<usize> = (0..n).filter(|&i| i != s1 && i != s2).collect();
+/// One of [`RTree::knn`]'s best points so far, ordered by (squared
+/// distance, payload): the max-heap's top is the k-th best.
+type Hit<'a, T> = (u64, &'a T, Carried<&'a [f64]>);
 
-    while !rest.is_empty() {
-        // Force assignment when one group must absorb all remaining to
-        // reach min_entries.
-        if ga.len() + rest.len() == config.min_entries {
-            for i in rest.drain(..) {
-                ga.insert(i);
-            }
-            break;
-        }
-        if gb.len() + rest.len() == config.min_entries {
-            for i in rest.drain(..) {
-                gb.insert(i);
-            }
-            break;
-        }
-        // PickNext: entry with the greatest preference difference.
-        let (mut pick, mut pick_pos, mut best_diff) = (rest[0], 0usize, f64::NEG_INFINITY);
-        for (pos, &i) in rest.iter().enumerate() {
-            let da = ra.enlargement(&rects[i]);
-            let db = rb.enlargement(&rects[i]);
-            let diff = (da - db).abs();
-            if diff > best_diff {
-                best_diff = diff;
-                pick = i;
-                pick_pos = pos;
-            }
-        }
-        rest.swap_remove(pick_pos);
-        let da = ra.enlargement(&rects[pick]);
-        let db = rb.enlargement(&rects[pick]);
-        let to_a = match da.total_cmp(&db) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                // Ties: smaller volume, then fewer entries.
-                if ra.volume() != rb.volume() {
-                    ra.volume() < rb.volume()
-                } else {
-                    ga.len() <= gb.len()
-                }
-            }
-        };
-        if to_a {
-            ga.insert(pick);
-            ra.union_in_place(&rects[pick]);
-        } else {
-            gb.insert(pick);
-            rb.union_in_place(&rects[pick]);
-        }
+/// The squared distance a point must not exceed to enter the `k` best:
+/// the k-th best's, or unbounded while fewer than `k` are held.
+fn kth<T: Ord>(best: &BinaryHeap<Hit<'_, T>>, k: usize) -> f64 {
+    match best.peek() {
+        Some(worst) if best.len() >= k => f64::from_bits(worst.0),
+        _ => f64::INFINITY,
     }
-    (ga, gb)
 }
 
 #[cfg(test)]
@@ -1288,6 +1335,67 @@ mod tests {
             copied <= 4 * original.height() + 2,
             "{copied} of {} arrays copied",
             new.len()
+        );
+    }
+
+    /// `diameter` is the brute-force pairwise maximum bit for bit, on
+    /// packed and on incrementally built trees; a seed at or above it
+    /// comes back unchanged.
+    #[test]
+    fn diameter_matches_pairwise_maximum() {
+        for (n, dim) in [
+            (0usize, 3usize),
+            (1, 3),
+            (2, 3),
+            (17, 3),
+            (120, 5),
+            (64, 8),
+            (300, 32),
+        ] {
+            let pts: Vec<Vec<f64>> = pseudo_random_points(n, dim, 0x1234_5678_9abc_def0)
+                .into_iter()
+                .map(|p| p.into_iter().map(|v| 2.0 * v - 10.0).collect())
+                .collect();
+            let mut full = 0.0f64;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    full = full.max(dist_sq(&pts[i], &pts[j]).sqrt());
+                }
+            }
+            let packed = RTree::bulk_load(
+                dim,
+                RTreeConfig::default(),
+                pts.iter().cloned().zip(0..).collect(),
+            );
+            let mut inserted: RTree<usize> = RTree::with_dim(dim);
+            for (i, p) in pts.iter().enumerate() {
+                inserted.insert(p.clone(), i);
+            }
+            for tree in [&packed, &inserted] {
+                assert_eq!(
+                    tree.diameter(0.0).to_bits(),
+                    full.to_bits(),
+                    "n={n} dim={dim}"
+                );
+                assert_eq!(tree.diameter(full), full);
+                assert_eq!(tree.diameter(full + 1.0), full + 1.0);
+            }
+        }
+    }
+
+    /// Splits cut along the widest axis: points spread along axis 2
+    /// only (axes 0 and 1 constant) are split into two runs on that
+    /// axis, not across it.
+    #[test]
+    fn splits_cut_along_the_widest_axis() {
+        let entries: Vec<(Vec<f64>, usize)> =
+            (0..17).map(|i| (vec![1.0, 1.0, i as f64], i)).collect();
+        let (a, b) = split(entries, 3, 6, |(p, _), axis| (p[axis], p[axis]));
+        assert!(a.len() >= 6 && b.len() >= 6);
+        let last_a = a.iter().map(|(p, _)| p[2]).fold(f64::MIN, f64::max);
+        assert!(
+            b.iter().all(|(p, _)| p[2] > last_a),
+            "halves overlap on axis 2"
         );
     }
 

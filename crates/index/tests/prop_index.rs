@@ -1,6 +1,7 @@
 //! Property tests: the R-tree must agree with the linear scan on every
-//! query, for any point set and any fan-out configuration — ties
-//! included: both order equal distances by payload.
+//! query, for any point set, any fan-out configuration and any way of
+//! building the tree — ties included: both order equal distances by
+//! payload.
 
 use proptest::prelude::*;
 
@@ -188,4 +189,166 @@ proptest! {
             }
         }
     }
+}
+
+/// Points shaped like the 8–64-d feature spaces: some axes constant
+/// over the whole set (an always-empty histogram bin), and values drawn
+/// from a small pool, so duplicates and distance ties are common.
+fn arb_feature_points(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (
+        prop::collection::vec(prop::collection::vec(0.0f64..1.0, dim..=dim), 1..40),
+        prop::collection::vec(any::<bool>(), dim..=dim),
+        prop::collection::vec(0usize..40, 1..200),
+    )
+        .prop_map(|(pool, constant, picks)| {
+            picks
+                .into_iter()
+                .map(|i| {
+                    pool[i % pool.len()]
+                        .iter()
+                        .zip(&constant)
+                        .map(|(&v, &c)| if c { 0.25 } else { v })
+                        .collect()
+                })
+                .collect()
+        })
+}
+
+/// The largest pairwise distance, summed in axis order.
+fn brute_force_diameter(points: &[&[f64]]) -> f64 {
+    let mut full = 0.0f64;
+    for (i, a) in points.iter().enumerate() {
+        for b in &points[i + 1..] {
+            let d = a
+                .iter()
+                .zip(*b)
+                .map(|(x, y)| (x - y) * (x - y))
+                .sum::<f64>()
+                .sqrt();
+            if d > full {
+                full = d;
+            }
+        }
+    }
+    full
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// In 8, 32 and 64 dimensions, trees built three ways — STR bulk
+    /// loading, one insert at a time, and bulk loading followed by
+    /// inserts and removes — answer `knn` and `within_distance`
+    /// exactly as the linear scan does (payloads, order and distance
+    /// bits), and `diameter` is the brute-force pairwise maximum bit
+    /// for bit.
+    #[test]
+    fn high_dimensional_trees_match_linear_however_built(
+        dim in 0usize..3,
+        pts in arb_feature_points(64),
+        removed in prop::collection::vec(any::<bool>(), 200),
+        qi in 0usize..200, k in 1usize..30, r in 0.0f64..1.5,
+    ) {
+        let dim = [8, 32, 64][dim];
+        let pts: Vec<Vec<f64>> = pts.into_iter().map(|p| p[..dim].to_vec()).collect();
+        let config = RTreeConfig { max_entries: 8, min_entries: 3 };
+        let entries: Vec<(Vec<f64>, usize)> = pts.iter().cloned().zip(0..).collect();
+        let packed = RTree::bulk_load(dim, config, entries.clone());
+        let mut inserted = RTree::new(dim, config);
+        let mut all = LinearScan::new(dim);
+        for (p, i) in &entries {
+            inserted.insert(p.clone(), *i);
+            all.insert(p.clone(), *i);
+        }
+        let half = entries.len() / 2;
+        let mut churned = RTree::bulk_load(dim, config, entries[..half].to_vec());
+        for (p, i) in &entries[half..] {
+            churned.insert(p.clone(), *i);
+        }
+        let mut kept = LinearScan::new(dim);
+        for ((p, i), &gone) in entries.iter().zip(&removed) {
+            if gone {
+                prop_assert_eq!(churned.remove(p, |&x| x == *i), Some(*i));
+            } else {
+                kept.insert(p.clone(), *i);
+            }
+        }
+        let routes = [(&packed, &all), (&inserted, &all), (&churned, &kept)];
+        let stored = pts[qi % pts.len()].clone();
+        let between: Vec<f64> = stored.iter().zip(&pts[0]).map(|(a, b)| 0.5 * (a + b)).collect();
+        for (tree, scan) in routes {
+            tree.check_invariants().map_err(TestCaseError::fail)?;
+            for q in [&stored, &between] {
+                let mut s = QueryStats::default();
+                prop_assert_eq!(bits(&tree.knn(q, k, &mut s)), bits(&scan.knn(q, k, &mut s)));
+                prop_assert_eq!(
+                    bits(&tree.within_distance(q, r, &mut s)),
+                    bits(&scan.within_distance(q, r, &mut s))
+                );
+            }
+            let points: Vec<&[f64]> = scan.iter().map(|(p, _)| p).collect();
+            prop_assert_eq!(tree.diameter(0.0).to_bits(), brute_force_diameter(&points).to_bits());
+        }
+    }
+}
+
+/// Inserts into a bulk-loaded tree must not degrade it: after 400
+/// one-at-a-time inserts into 2,000 shell-histogram-like 32-d points
+/// (two axes constant, mass in a bump that differs per family), a
+/// top-10 query checks at most 1.25× the entries it checked on the
+/// bulk-loaded tree, averaged over 100 unseen queries.
+#[test]
+fn inserts_keep_the_bulk_loaded_query_cost() {
+    const DIM: usize = 32;
+    let mut s = 0x5eed_1234_u64;
+    let mut rnd = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let anchors: Vec<Vec<f64>> = (0..26)
+        .map(|_| {
+            let (mu, sigma) = (8.0 + 20.0 * rnd(), 2.0 + 4.0 * rnd());
+            let mut h: Vec<f64> = (0..DIM)
+                .map(|i| {
+                    if i < 2 {
+                        0.0
+                    } else {
+                        (-((i as f64 - mu) / sigma).powi(2)).exp()
+                    }
+                })
+                .collect();
+            let total: f64 = h.iter().sum();
+            h.iter_mut().for_each(|v| *v /= total);
+            h
+        })
+        .collect();
+    let mut shape = |i: usize| -> Vec<f64> {
+        anchors[i % anchors.len()]
+            .iter()
+            .map(|v| v * (1.0 + 0.04 * (2.0 * rnd() - 1.0)))
+            .collect()
+    };
+    let base: Vec<(Vec<f64>, usize)> = (0..2000).map(|i| (shape(i), i)).collect();
+    let extra: Vec<Vec<f64>> = (0..400).map(&mut shape).collect();
+    let queries: Vec<Vec<f64>> = (0..100).map(&mut shape).collect();
+
+    let bulk = RTree::bulk_load(DIM, RTreeConfig::default(), base);
+    let mut churned = bulk.clone();
+    for (i, p) in extra.into_iter().enumerate() {
+        churned.insert(p, 2000 + i);
+    }
+    let entries_per_query = |tree: &RTree<usize>| {
+        let mut stats = QueryStats::default();
+        for q in &queries {
+            tree.knn(q, 10, &mut stats);
+        }
+        stats.entries_checked as f64 / queries.len() as f64
+    };
+    let (before, after) = (entries_per_query(&bulk), entries_per_query(&churned));
+    assert!(
+        after <= 1.25 * before,
+        "{after:.0} entries per query after inserts, {before:.0} bulk-loaded"
+    );
 }

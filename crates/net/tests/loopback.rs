@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use tdess_core::{MultiStepPlan, Query, SearchServer, ShapeDatabase, Weights};
 use tdess_features::{FeatureExtractor, FeatureKind};
-use tdess_geom::{primitives, Vec3};
+use tdess_geom::{primitives, TriMesh, Vec3};
 use tdess_net::proto::{
     decode, decode_json, encode, encode_json, read_frame, write_frame, Hello, HelloReply, Request,
     RequestEnvelope, Response, MAX_TRACE_ID_BYTES, PROTOCOL_VERSION,
@@ -385,6 +385,15 @@ fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
     let mut nan = primitives::box_mesh(Vec3::ONE);
     nan.vertices[2].z = f64::NAN;
     let (huge, overflowing) = (scaled(1e70), scaled(1e300));
+    // Finite moments, but moment invariants that overflow to NaN.
+    let mut far_vertex = primitives::box_mesh(Vec3::ONE);
+    far_vertex.vertices[1] = Vec3::new(1e78, -1e78, 5e77);
+    // Zero area, yet rounding far from the origin reads a volume.
+    let v = Vec3::new(1e7, 1e7, 1e7);
+    let sliver = TriMesh::new(
+        vec![v, v + Vec3::X, Vec3::new(1e7, 1e7 + 1.0, 1e8)],
+        vec![[1, 1, 2]],
+    );
     let query = Query::top_k(FeatureKind::MomentInvariants, 3);
     let plan = MultiStepPlan {
         steps: vec![FeatureKind::MomentInvariants],
@@ -393,7 +402,7 @@ fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
     };
 
     type Send<'a> = Box<dyn Fn(&mut NetClient) -> Result<(), WireError> + 'a>;
-    let cases: [(&str, ErrorKind, Send); 4] = [
+    let cases: [(&str, ErrorKind, Send); 8] = [
         (
             "SearchMesh with a bad index",
             ErrorKind::Malformed,
@@ -413,6 +422,26 @@ fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
             "SearchMesh of a box scaled by 1e300",
             ErrorKind::Extraction,
             Box::new(|c| c.search_mesh(&overflowing, &query).map(drop)),
+        ),
+        (
+            "Insert of a box with a vertex at 1e78",
+            ErrorKind::Extraction,
+            Box::new(|c| c.insert("far", &far_vertex).map(drop)),
+        ),
+        (
+            "SearchMesh of a box with a vertex at 1e78",
+            ErrorKind::Extraction,
+            Box::new(|c| c.search_mesh(&far_vertex, &query).map(drop)),
+        ),
+        (
+            "Insert of a zero-area triangle near 1e7",
+            ErrorKind::Extraction,
+            Box::new(|c| c.insert("sliver", &sliver).map(drop)),
+        ),
+        (
+            "SearchMesh of a zero-area triangle near 1e7",
+            ErrorKind::Extraction,
+            Box::new(|c| c.search_mesh(&sliver, &query).map(drop)),
         ),
     ];
     for (what, kind, send) in &cases {

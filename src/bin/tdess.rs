@@ -1,45 +1,7 @@
 //! `tdess` — command-line interface to the 3DESS shape-search system.
 //!
-//! ```text
-//! tdess corpus <dir>                         generate & export the 113-shape corpus
-//! tdess synth  <db> --count N [options]      generate a large synthetic database
-//!        --count N                shapes to generate    (required)
-//!        --seed S                 RNG seed              (default 2004)
-//!        --resolution N           voxel resolution      (default 48)
-//!        --format json|binary     snapshot format       (default binary)
-//! tdess index  <db.json> <mesh>...           create/extend a database from STL/OFF files
-//! tdess convert <src> <dst> [--format F]     re-encode a snapshot (JSON <-> TDSS binary)
-//!        --format json|binary     target format         (default: the other one)
-//! tdess info   <db.json>                     database statistics
-//! tdess query  <db.json> <mesh> [options]    query by example
-//!        --kind mi|gp|pm|ev|ho    feature vector        (default pm)
-//!        --top K                  top-K results         (default 10)
-//!        --threshold S            similarity threshold instead of top-K
-//!        --render DIR             write a PGM thumbnail per result
-//! tdess multistep <db.json> <mesh> [options] multi-step search
-//!        --steps a,b,...          features per step     (default pm,ev)
-//!        --candidates K           candidate-set size    (default 30)
-//!        --present R              presented results     (default 10)
-//! tdess browse <db.json> [--kind pm]         print the browsing hierarchy
-//! tdess serve  <db.json> [options]           serve the database over TCP
-//!        --addr HOST:PORT         bind address          (default 127.0.0.1:7333)
-//!        --workers N              worker threads        (default 4)
-//!        --queue N                accept-queue depth    (default 64)
-//!        --metrics-addr HOST:PORT also serve HTTP `GET /metrics`
-//!                                 (Prometheus), `/healthz` (liveness),
-//!                                 and `/traces` (Chrome trace JSON)
-//!        --cache-bytes N          extraction-cache byte budget (default 268435456)
-//!        --cache-off              disable the extraction cache
-//!        --trace-sample N         flight-recorder sampling: keep 1-in-N
-//!                                 non-slow, non-error traces (default 16;
-//!                                 1 keeps everything)
-//! tdess remote <addr> <verb> [options]       talk to a running server
-//!        verbs: query <mesh>, multistep <mesh>, info, stats, ping,
-//!               trace [--last N] [--slow] [--format chrome|jsonl]
-//!        (query/multistep take the same flags as their local forms;
-//!        trace pulls the server's flight recorder — `--slow` keeps
-//!        only slow/error traces, `chrome` output loads in Perfetto)
-//! ```
+//! Every subcommand and option is listed in `HELP`, which
+//! `tdess help` prints.
 //!
 //! `query`, `multistep`, `info`, and every `remote` verb accept
 //! `--json`: machine-readable output serializing the same payload
@@ -95,7 +57,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "serve" => cmd_serve(&args[1..]),
         "remote" => cmd_remote(&args[1..]),
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            println!("{}\n\n{HELP}", usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
@@ -106,6 +68,48 @@ fn usage() -> String {
     "usage: tdess <corpus|synth|index|convert|info|query|multistep|browse|serve|remote|help> ... (see `tdess help`)"
         .into()
 }
+
+/// Every subcommand with its options, as `tdess help` prints them.
+const HELP: &str = "\
+tdess corpus <dir>                         generate & export the 113-shape corpus
+tdess synth  <db> --count N [options]      generate a large synthetic database
+       --count N                shapes to generate    (required)
+       --seed S                 RNG seed              (default 2004)
+       --resolution N           voxel resolution      (default 48)
+       --format json|binary     snapshot format       (default binary)
+tdess index  <db.json> <mesh>...           create/extend a database from STL/OFF files
+tdess convert <src> <dst> [--format F]     re-encode a snapshot (JSON <-> TDSS binary)
+       --format json|binary     target format         (default: the other one)
+tdess info   <db.json>                     database statistics
+tdess query  <db.json> <mesh> [options]    query by example
+       --kind mi|gp|pm|ev|ho    feature vector        (default pm)
+       --top K                  top-K results         (default 10)
+       --threshold S            similarity threshold instead of top-K
+       --render DIR             write a PGM thumbnail per result
+tdess multistep <db.json> <mesh> [options] multi-step search
+       --steps a,b,...          features per step     (default pm,ev)
+       --candidates K           candidate-set size    (default 30)
+       --present R              presented results     (default 10)
+tdess browse <db.json> [--kind pm]         print the browsing hierarchy
+tdess serve  <db.json> [options]           serve the database over TCP
+       --addr HOST:PORT         bind address          (default 127.0.0.1:7333)
+       --workers N              worker threads        (default 4)
+       --queue N                accept-queue depth    (default 64)
+       --metrics-addr HOST:PORT also serve HTTP `GET /metrics`
+                                (Prometheus), `/healthz` (liveness),
+                                and `/traces` (Chrome trace JSON)
+       --cache-bytes N          extraction-cache byte budget (default 268435456)
+       --cache-off              disable the extraction cache
+       --trace-sample N         flight-recorder sampling: keep 1-in-N
+                                non-slow, non-error traces (default 16;
+                                1 keeps everything)
+tdess remote <addr> <verb> [options]       talk to a running server
+       verbs: query <mesh>, multistep <mesh>, info, stats, ping,
+              trace [--last N] [--slow] [--format chrome|jsonl]
+       (query/multistep take the same flags as their local forms;
+       trace pulls the server's flight recorder — `--slow` keeps
+       only slow/error traces, `chrome` output loads in Perfetto)
+";
 
 /// Parses a `--format json|binary` flag value.
 fn parse_format(s: &str) -> Result<SnapshotFormat, String> {

@@ -42,6 +42,20 @@ fn help_prints_usage() {
     assert!(text.contains("usage:"), "{text}");
 }
 
+/// `help` lists every subcommand's options, not only the usage line.
+#[test]
+fn help_lists_subcommand_options() {
+    let out = tdess().arg("help").output().expect("run tdess");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    for option in ["--count", "--cache-bytes", "--resolution", "--trace-sample"] {
+        assert!(
+            text.contains(option),
+            "`tdess help` lacks {option}:\n{text}"
+        );
+    }
+}
+
 #[test]
 fn unknown_command_fails() {
     let out = tdess().arg("frobnicate").output().expect("run tdess");
