@@ -33,7 +33,7 @@ fn real_database() {
         let mut tree: RTree<u64> = RTree::with_dim(dim);
         let mut scan: LinearScan<u64> = LinearScan::new(dim);
         for s in ctx.db.shapes() {
-            tree.insert(s.features.get(kind).to_vec(), s.id);
+            tree.insert(s.features.get(kind), s.id);
             scan.insert(s.features.get(kind).to_vec(), s.id);
         }
         let mut ts = QueryStats::default();
@@ -148,7 +148,7 @@ fn build_synthetic(
     for i in 0..n {
         let c = &centers[rng.gen_range(0..clusters)];
         let p: Vec<f64> = c.iter().map(|&x| x + rng.gen_range(-2.0..2.0)).collect();
-        tree.insert(p.clone(), i);
+        tree.insert(&p, i);
         scan.insert(p.clone(), i);
         points.push(p);
     }

@@ -520,16 +520,16 @@ fn space_numbers(db: &ShapeDatabase, extractor: &FeatureExtractor, n: usize) -> 
     FeatureKind::ALL
         .into_iter()
         .map(|kind| {
-            let points: Vec<(Vec<f64>, u64)> = db
+            let points: Vec<(&[f64], u64)> = db
                 .shapes()
                 .iter()
-                .map(|s| (s.features.get(kind).to_vec(), s.id))
+                .map(|s| (s.features.get(kind), s.id))
                 .collect();
             let bulk = RTree::bulk_load(db.extractor().dim(kind), RTreeConfig::default(), points);
             let (bulk_us, bulk_entries) = knn_cost(&bulk, kind);
             let mut churned = bulk;
             for (i, (_, _, f)) in extra.iter().enumerate() {
-                churned.insert(f.get(kind).to_vec(), (n + i) as u64 + 1);
+                churned.insert(f.get(kind), (n + i) as u64 + 1);
             }
             let (churned_us, churned_entries) = knn_cost(&churned, kind);
             SpaceNumbers {
@@ -555,10 +555,10 @@ fn index_numbers(db: &ShapeDatabase, n: usize) -> IndexNumbers {
     let mut query_count = 0usize;
     for kind in FeatureKind::ALL {
         let dim = db.extractor().dim(kind);
-        let points: Vec<(Vec<f64>, u64)> = db
+        let points: Vec<(&[f64], u64)> = db
             .shapes()
             .iter()
-            .map(|s| (s.features.get(kind).to_vec(), s.id))
+            .map(|s| (s.features.get(kind), s.id))
             .collect();
 
         let t0 = Instant::now();
@@ -568,7 +568,7 @@ fn index_numbers(db: &ShapeDatabase, n: usize) -> IndexNumbers {
         let t0 = Instant::now();
         let mut incr: RTree<u64> = RTree::new(dim, config);
         for (p, id) in &points {
-            incr.insert(p.clone(), *id);
+            incr.insert(p, *id);
         }
         incr_build_s += t0.elapsed().as_secs_f64();
 

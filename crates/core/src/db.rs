@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet, NormalizeError};
 use tdess_geom::TriMesh;
 use tdess_index::{QueryStats, RTree, RTreeConfig};
-use tdess_obs::{Stage, StageTimer};
+use tdess_obs::{Stage, StageTimer, TagValue};
 
 use crate::similarity::{similarity, threshold_to_radius, weighted_distance, Weights};
 
@@ -382,8 +382,7 @@ impl ShapeDatabase {
         self.next_id += 1;
 
         for (kind, tree) in FeatureKind::ALL.into_iter().zip(&mut self.indexes) {
-            // hotpath: allow(hot-alloc) — the database stores an owned copy of the inserted vector
-            tree.insert(features.get(kind).to_vec(), id);
+            tree.insert(features.get(kind), id);
         }
 
         self.ids.push(id);
@@ -437,6 +436,7 @@ impl ShapeDatabase {
     ) -> Vec<SearchHit> {
         let q = features.get(query.kind);
         let dmax = self.dmax(query.kind);
+        let checked_before = stats.entries_checked;
 
         if query.weights.is_unit() {
             let index = &self.indexes[query.kind as usize];
@@ -444,6 +444,7 @@ impl ShapeDatabase {
                 QueryMode::TopK(k) => {
                     let timer = StageTimer::start(Stage::IndexSearch);
                     let raw = index.knn(q, k, stats);
+                    tag_index_search(query.kind, stats.entries_checked - checked_before);
                     // Adjacent stages share one boundary clock read.
                     let _stage = timer.handoff(Stage::SimilarityCombine);
                     raw.into_iter()
@@ -473,6 +474,7 @@ impl ShapeDatabase {
                     let radius = radius * (1.0 + 1e-12);
                     let timer = StageTimer::start(Stage::IndexSearch);
                     let raw = index.within_distance(q, radius, stats);
+                    tag_index_search(query.kind, stats.entries_checked - checked_before);
                     let _stage = timer.handoff(Stage::SimilarityCombine);
                     raw.into_iter()
                         .map(|(_, &id, d)| SearchHit {
@@ -501,6 +503,7 @@ impl ShapeDatabase {
                     }
                 })
                 .collect();
+            tag_index_search(query.kind, stats.entries_checked - checked_before);
             let _stage = timer.handoff(Stage::SimilarityCombine);
             hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
             match query.mode {
@@ -537,6 +540,7 @@ impl ShapeDatabase {
             })
             // hotpath: allow(hot-alloc) — the sorted hit list is the returned artifact
             .collect();
+        tag_index_search(query.kind, self.shapes.len());
         let _stage = timer.handoff(Stage::SimilarityCombine);
         hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
         hits
@@ -595,6 +599,14 @@ impl ShapeDatabase {
     }
 }
 
+/// Tags the open `index_search` span with the space searched and the
+/// entries this search checked, so a slow request's trace names both;
+/// a no-op when the request collects no spans.
+fn tag_index_search(kind: FeatureKind, entries_checked: usize) {
+    tdess_obs::annotate("kind", TagValue::Str(FeatureKind::label(kind)));
+    tdess_obs::annotate("entries_checked", TagValue::U64(entries_checked as u64));
+}
+
 /// The id array of loaded shapes, rejecting ids the lookups cannot
 /// serve: they must be strictly ascending, and below `next_id` so the
 /// next insert keeps them ascending.
@@ -627,9 +639,9 @@ fn build_indexes(
         FeatureKind::ALL
             .map(|kind| {
                 scope.spawn(move || {
-                    let entries: Vec<(Vec<f64>, ShapeId)> = shapes
+                    let entries: Vec<(&[f64], ShapeId)> = shapes
                         .iter()
-                        .map(|s| (s.features.get(kind).to_vec(), s.id))
+                        .map(|s| (s.features.get(kind), s.id))
                         .collect();
                     RTree::bulk_load(extractor.dim(kind), config, entries)
                 })

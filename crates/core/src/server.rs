@@ -713,10 +713,15 @@ mod tests {
         let mesh = primitives::uv_sphere(1.0, 16, 8);
         let query = Query::top_k(FeatureKind::PrincipalMoments, 2);
 
+        let features = server.snapshot().extract_query(&mesh).unwrap();
+        let threshold = |t| Query::threshold(FeatureKind::ShellHistogram, t);
+
         let guard =
             tdess_obs::begin_request("core-span-test", "search_mesh", std::time::Instant::now());
         server.search_mesh(&mesh, &query).unwrap(); // cold: miss
         server.search_mesh(&mesh, &query).unwrap(); // warm: hit
+        server.search_features(&features, &threshold(0.5)); // ball on the tree
+        server.search_features(&features, &threshold(0.0)); // scan of every shape
         let t = tdess_obs::TraceGuard::finish(guard, false).expect("trace collected");
 
         assert_eq!(t.trace_id, "core-span-test");
@@ -753,11 +758,40 @@ mod tests {
                 "missing nested {name} span under the cold query_extract"
             );
         }
-        // The index search runs outside extraction, under the root.
-        assert!(t
+        // The index searches run outside extraction, under the root,
+        // and each names its space and the entries it checked: the
+        // top-k pair, the ball and the scan of all three shapes.
+        let tag = |s: &SpanRecord, key: &str| {
+            s.tags
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let searches: Vec<(Option<String>, Option<String>)> = t
             .spans
             .iter()
-            .any(|s| s.name == "index_search" && s.parent == 1));
+            .filter(|s| s.name == "index_search")
+            .inspect(|s| assert_eq!(s.parent, 1))
+            .map(|s| (tag(s, "kind"), tag(s, "entries_checked")))
+            .collect();
+        assert_eq!(searches.len(), 4, "{searches:?}");
+        let kinds: Vec<&str> = searches.iter().filter_map(|(k, _)| k.as_deref()).collect();
+        assert_eq!(
+            kinds,
+            [
+                "principal moments",
+                "principal moments",
+                "shell histogram",
+                "shell histogram"
+            ]
+        );
+        let checked: Vec<u64> = searches
+            .iter()
+            .filter_map(|(_, n)| n.as_deref()?.parse().ok())
+            .collect();
+        assert_eq!(checked.len(), 4, "{searches:?}");
+        assert!(checked[..3].iter().all(|&n| n > 0), "{checked:?}");
+        assert_eq!(checked[3], 3, "the scan checks every shape");
         // The warm extraction still normalizes (the content key needs
         // the normalized mesh) but skips the rest of the pipeline.
         let warm_id = extracts[1].id;

@@ -62,7 +62,9 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
+use tdess_features::{
+    features_in_range, FeatureExtractor, FeatureKind, FeatureSet, MAX_FEATURE_MAGNITUDE,
+};
 use tdess_geom::io::{MAX_MESH_FACES, MAX_MESH_VERTICES};
 use tdess_geom::TriMesh;
 use tdess_index::RTreeConfig;
@@ -347,11 +349,13 @@ pub(crate) fn check_extractor(extractor: &FeatureExtractor) -> Result<(), String
     Ok(())
 }
 
-/// Rejects a feature vector that does not hold exactly `dim` finite
-/// values, `dim` being the extractor's dimension for `kind`. Shared by
-/// both load formats, which prefix the shape id, and by the network
-/// front end for submitted vectors. A `TDSS` vector has `dim` values by
-/// construction, so only its finiteness can fail there.
+/// Rejects a feature vector that does not hold exactly `dim` values
+/// within ±[`MAX_FEATURE_MAGNITUDE`] (so finite, and no distance
+/// between two accepted vectors overflows), `dim` being the extractor's
+/// dimension for `kind`. Shared by both load formats, which prefix the
+/// shape id, and by the network front end for submitted vectors. A
+/// `TDSS` vector has `dim` values by construction, so only its values
+/// can fail there.
 pub fn check_vector(kind: FeatureKind, v: &[f64], dim: usize) -> Result<(), String> {
     if v.len() != dim {
         // hotpath: allow(hot-alloc) — formats only on the rejected path: the load aborts or the request is refused
@@ -360,8 +364,10 @@ pub fn check_vector(kind: FeatureKind, v: &[f64], dim: usize) -> Result<(), Stri
             v.len()
         ));
     }
-    if !v.iter().all(|x| x.is_finite()) {
-        return Err(format!("{kind:?} vector has non-finite values"));
+    if !features_in_range(v) {
+        return Err(format!(
+            "{kind:?} vector has non-finite values or values beyond ±{MAX_FEATURE_MAGNITUDE:e}"
+        ));
     }
     Ok(())
 }
@@ -514,8 +520,13 @@ fn decode_features(
             let v = r.get_f64s(dim)?;
             // Checked here, while the freshly decoded values are
             // cache-hot, instead of in a second pass over every vector.
-            check_vector(kind, &v, dim)
-                .map_err(|reason| format!("shape {}: {reason}", shape.id))?;
+            if let Err(reason) = check_vector(kind, &v, dim) {
+                // A flipped bit can push a value out of range: when the
+                // whole payload's checksum fails too, that is the fault.
+                sum.absorb(&block[block_len.min(block.len())..]);
+                sum_matches(sum.finish(), declared_sum)?;
+                return Err(format!("shape {}: {reason}", shape.id));
+            }
             match kind {
                 FeatureKind::MomentInvariants => shape.features.moment_invariants = v,
                 FeatureKind::GeometricParams => shape.features.geometric = v,
@@ -658,5 +669,27 @@ mod tests {
         assert_ne!(checksum64(b"abc"), checksum64(b"abc\0"));
         assert_ne!(checksum64(b""), checksum64(b"\0"));
         assert_ne!(checksum64(&[0u8; 8]), checksum64(&[0u8; 16]));
+    }
+
+    /// A vector passes with exactly `dim` values within ±1e150; a
+    /// wrong length, a NaN, an infinity or a 1e200 component (whose
+    /// square overflows a distance) is rejected.
+    #[test]
+    fn check_vector_bounds_lengths_and_magnitudes() {
+        let kind = FeatureKind::GeometricParams;
+        let ok = [1.0, -1e150, 1e150, 0.0, 2e-48];
+        assert_eq!(check_vector(kind, &ok, 5), Ok(()));
+        assert!(check_vector(kind, &ok[..4], 5)
+            .unwrap_err()
+            .contains("4 values"));
+        for bad in [f64::NAN, f64::INFINITY, -f64::INFINITY, 1e200, -1e151] {
+            let mut v = ok;
+            v[2] = bad;
+            let err = check_vector(kind, &v, 5).unwrap_err();
+            assert!(
+                err.contains("non-finite values or values beyond ±1e150"),
+                "{bad}: {err}"
+            );
+        }
     }
 }

@@ -16,7 +16,8 @@ pub mod vectors;
 pub use baselines::{shape_distribution_d2, shell_histogram, D2Params, ShellParams};
 pub use normalize::{normalize, NormalizeError, NormalizedModel};
 pub use pipeline::{
-    ExtractScratch, FeatureExtractor, FeatureSet, PipelineArtifacts, DEFAULT_SPECTRUM_DIM,
+    features_in_range, ExtractScratch, FeatureExtractor, FeatureSet, PipelineArtifacts,
+    DEFAULT_SPECTRUM_DIM, MAX_FEATURE_MAGNITUDE,
 };
 pub use vectors::{
     geometric_params, higher_order_moments, moment_invariants, principal_moments, FeatureKind,

@@ -42,8 +42,10 @@ pub enum NormalizeError {
     /// A volume moment of the mesh is NaN or infinite: a non-finite
     /// coordinate, or one so large its moments overflow.
     NonFiniteMoments,
-    /// The mesh normalized, but an extracted feature vector holds a NaN
-    /// or an infinity (a descriptor overflowed on it).
+    /// The mesh normalized, but an extracted feature vector holds a NaN,
+    /// an infinity, or a value beyond
+    /// [`MAX_FEATURE_MAGNITUDE`](crate::MAX_FEATURE_MAGNITUDE): a
+    /// descriptor overflowed on the mesh, or would overflow a distance.
     NonFiniteFeatures,
 }
 
@@ -54,9 +56,11 @@ impl std::fmt::Display for NormalizeError {
             NormalizeError::NonFiniteMoments => {
                 write!(f, "mesh moments are not finite; cannot normalize")
             }
-            NormalizeError::NonFiniteFeatures => {
-                write!(f, "extracted feature vectors are not finite")
-            }
+            NormalizeError::NonFiniteFeatures => write!(
+                f,
+                "extracted feature vectors are not finite or exceed ±{:e}",
+                crate::MAX_FEATURE_MAGNITUDE
+            ),
         }
     }
 }

@@ -22,6 +22,20 @@ use crate::vectors::{
 /// Default dimension of the eigenvalue feature vector.
 pub const DEFAULT_SPECTRUM_DIM: usize = 8;
 
+/// The largest magnitude a feature value may have, extracted, loaded
+/// or submitted. Within it the squared distance of any two vectors is
+/// finite: each term is at most (2·10¹⁵⁰)² = 4·10³⁰⁰, and `f64::MAX` is
+/// about 1.8·10³⁰⁸, so a sum over fewer than 4·10⁷ axes cannot
+/// overflow, and neither can a database's diameter.
+pub const MAX_FEATURE_MAGNITUDE: f64 = 1e150;
+
+/// Whether every value of `v` lies within ±[`MAX_FEATURE_MAGNITUDE`]:
+/// false for NaN and the infinities too. The one feature-value check
+/// of extraction, snapshot loading and submitted queries.
+pub fn features_in_range(v: &[f64]) -> bool {
+    v.iter().all(|x| x.abs() <= MAX_FEATURE_MAGNITUDE)
+}
+
 /// The complete set of feature vectors for one shape.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureSet {
@@ -269,7 +283,7 @@ impl FeatureExtractor {
         };
         if FeatureKind::ALL
             .iter()
-            .all(|&k| features.get(k).iter().all(|v| v.is_finite()))
+            .all(|&k| features_in_range(features.get(k)))
         {
             Ok((graph, features))
         } else {
@@ -336,6 +350,31 @@ mod tests {
             ex.extract_from_normalized(&far, &unit).err(),
             Some(NormalizeError::NonFiniteFeatures)
         );
+    }
+
+    /// A 1e56 × 1e56 × 1e48 box passes normalization, but its
+    /// geometric parameters carry its original volume, 1e160, whose
+    /// square overflows any distance to it: a typed error, not a
+    /// vector that turns distances and the diameter infinite.
+    #[test]
+    fn features_beyond_the_magnitude_bound_are_typed_errors() {
+        let ex = FeatureExtractor {
+            voxel_resolution: 8,
+            ..Default::default()
+        };
+        let huge = primitives::box_mesh(Vec3::new(1e56, 1e56, 1e48));
+        let nm = normalize(&huge).unwrap();
+        let gp = geometric_params(&huge, &nm);
+        assert!(gp.iter().all(|v| v.is_finite()));
+        assert!(gp[4] > MAX_FEATURE_MAGNITUDE, "{gp:?}");
+        assert_eq!(
+            ex.extract(&huge).err(),
+            Some(NormalizeError::NonFiniteFeatures)
+        );
+        assert!(features_in_range(&[1.0, -1e150, 1e150]));
+        assert!(!features_in_range(&[1e151]));
+        assert!(!features_in_range(&[f64::NAN]));
+        assert!(!features_in_range(&[f64::NEG_INFINITY]));
     }
 
     #[test]

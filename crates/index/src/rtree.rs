@@ -17,6 +17,14 @@
 //! instrumented with node-access counters so the index-efficiency
 //! experiment can compare against a linear scan.
 //!
+//! Every node stores its entries as two flat arrays: a leaf its points
+//! row-major (`dim` values a row) beside their payloads, an inner node
+//! its children's boxes (`2·dim` values a row: the min corner, then the
+//! max corner) beside the children. Queries score a node's rows
+//! [`LANES`] at a time, each row summed in axis order exactly as
+//! [`dist_sq`] sums it, so the lanes are independent dependency chains
+//! and every distance keeps its bits (see [`scan`]).
+//!
 //! Trees are persistent: cloning one is O(1), and the clones share
 //! every node until one of them changes it. Updates copy only the
 //! nodes on the root-to-leaf path they modify (path copying), so a
@@ -29,7 +37,6 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::rect::Rect;
 use crate::stats::QueryStats;
 
 /// Tree fan-out configuration.
@@ -100,54 +107,90 @@ impl std::fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// A tree node. Each node's entry array sits behind an `Arc` so
-/// trees can share it; a shared array is never mutated, only replaced
-/// by a modified copy ([`path_copy`]). Sharing the array itself, not
-/// an `Arc` around each child, keeps a traversal at one pointer hop
-/// per visited node.
+/// A tree node: its entries' rows in one flat array beside their
+/// payloads or children. The arrays sit behind `Arc`s, inline in the
+/// parent's child array, so trees can share them and a visit is one
+/// pointer hop per node, none per entry; a shared array is never
+/// mutated, only replaced by a modified copy ([`gather`]).
+///
+/// Queries read a node's rows [`LANES`] at a time ([`scan`]): points
+/// by squared distance, boxes by squared MINDIST. Each lane adds its
+/// terms in axis order from 0.0, the order of a one-row sum, so every
+/// distance, bound and tie keeps the bits it had when each entry was
+/// its own `Vec`; the lanes only overlap their dependency chains.
 #[derive(Debug, Clone)]
 enum Node<T> {
-    Leaf(Arc<[(Vec<f64>, T)]>),
-    Inner(Arc<[(Rect, Node<T>)]>),
+    /// Points row-major, `dim` values a row, and their payloads.
+    Leaf {
+        points: Arc<[f64]>,
+        payloads: Arc<[T]>,
+    },
+    /// The children's boxes, `2·dim` values a row (min corner, then
+    /// max corner), and the children.
+    Inner {
+        boxes: Arc<[f64]>,
+        children: Arc<[Node<T>]>,
+    },
 }
 
 impl<T> Node<T> {
-    fn len(&self) -> usize {
-        match self {
-            Node::Leaf(e) => e.len(),
-            Node::Inner(e) => e.len(),
+    fn empty() -> Node<T> {
+        Node::Leaf {
+            points: Arc::new([]),
+            payloads: Arc::new([]),
         }
     }
 
-    fn bounding_rect(&self, dim: usize) -> Rect {
-        let mut r: Option<Rect> = None;
+    fn len(&self) -> usize {
         match self {
-            Node::Leaf(entries) => {
-                // Widen two corner vectors in place rather than
-                // building a degenerate Rect per point — this runs
-                // once per leaf during bulk loads and splits.
-                if let Some(((p0, _), rest)) = entries.split_first() {
-                    let mut rect = Rect::from_point(p0);
-                    for (p, _) in rest {
-                        for (d, &v) in p.iter().enumerate() {
-                            rect.min[d] = rect.min[d].min(v);
-                            rect.max[d] = rect.max[d].max(v);
-                        }
-                    }
-                    r = Some(rect);
+            Node::Leaf { payloads, .. } => payloads.len(),
+            Node::Inner { children, .. } => children.len(),
+        }
+    }
+
+    /// Writes the node's bounding box row into `out` (`2·dim` values:
+    /// min corner, then max corner), each value folded over the node's
+    /// rows in order from the first. An empty node (only ever a root)
+    /// writes nothing.
+    fn bounds_into(&self, dim: usize, out: &mut [f64]) {
+        let (rows, width) = match self {
+            Node::Leaf { points, .. } => (points, dim),
+            Node::Inner { boxes, .. } => (boxes, 2 * dim),
+        };
+        let (lo, hi) = out.split_at_mut(dim);
+        let mut rows = rows.chunks_exact(width);
+        let Some(first) = rows.next() else {
+            return;
+        };
+        // A box's max corner starts at `dim`, a point is both corners.
+        let max_at = width - dim;
+        lo.copy_from_slice(&first[..dim]);
+        hi.copy_from_slice(&first[max_at..]);
+        for r in rows {
+            for (l, &v) in lo.iter_mut().zip(&r[..dim]) {
+                *l = l.min(v);
+            }
+            for (h, &v) in hi.iter_mut().zip(&r[max_at..]) {
+                *h = h.max(v);
+            }
+        }
+    }
+
+    /// Calls `f` on every (point, payload) beneath the node, children
+    /// in order.
+    fn each_entry(&self, dim: usize, f: &mut impl FnMut(&[f64], &T)) {
+        match self {
+            Node::Leaf { points, payloads } => {
+                for (p, t) in points.chunks_exact(dim).zip(payloads.iter()) {
+                    f(p, t);
                 }
             }
-            Node::Inner(entries) => {
-                for (er, _) in entries.iter() {
-                    match &mut r {
-                        Some(acc) => acc.union_in_place(er),
-                        // hotpath: allow(hot-alloc) — the enclosing rect is the computed artifact
-                        None => r = Some(er.clone()),
-                    }
+            Node::Inner { children, .. } => {
+                for child in children.iter() {
+                    child.each_entry(dim, f);
                 }
             }
         }
-        r.unwrap_or_else(|| Rect::new(vec![0.0; dim], vec![0.0; dim]))
     }
 }
 
@@ -188,7 +231,7 @@ impl<T: Clone> RTree<T> {
             config,
             dim,
             len: 0,
-            root: Node::Leaf(Arc::new([])),
+            root: Node::empty(),
         }
     }
 
@@ -198,10 +241,11 @@ impl<T: Clone> RTree<T> {
     }
 
     /// Builds a tree from a batch of points in one pass using
-    /// sort-tile-recursive (STR) packing (Leutenegger et al.).
+    /// sort-tile-recursive (STR) packing (Leutenegger et al.). The
+    /// points are borrowed: each is copied once, into its leaf.
     ///
     /// Each level is tiled on the [`STR_TILE_AXES`] axes along which
-    /// its entries spread widest (points at the leaf level, node-rect
+    /// its entries spread widest (points at the leaf level, node-box
     /// centers above): the entries are partitioned into even slabs on
     /// the widest axis (quantile selection, no full sort), and each
     /// slab recursively tiled on the next until a tile fits in one
@@ -214,62 +258,79 @@ impl<T: Clone> RTree<T> {
     /// Deterministic: the same entry sequence produces a byte-identical
     /// tree (keys compared with `total_cmp`, ties broken by position,
     /// so the tiling order is a pure function of the input sequence).
-    pub fn bulk_load(dim: usize, config: RTreeConfig, entries: Vec<(Vec<f64>, T)>) -> RTree<T> {
+    pub fn bulk_load<P: AsRef<[f64]>>(
+        dim: usize,
+        config: RTreeConfig,
+        entries: Vec<(P, T)>,
+    ) -> RTree<T> {
         assert!(dim > 0, "dimension must be positive");
         assert!(
             config.min_entries >= 1 && config.min_entries * 2 <= config.max_entries,
             "need 1 <= min_entries <= max_entries/2"
         );
-        // Per-point preconditions are a caller contract, checked in
-        // debug builds: every call site (feature extraction, snapshot
-        // decode) has already validated dimensionality and finiteness,
-        // and an O(n·d) rescan here is measurable on the snapshot
-        // load path at 10⁵ entries.
+        // Finiteness is a caller contract, checked in debug builds:
+        // every call site (feature extraction, snapshot decode) has
+        // already validated it, and an O(n·d) rescan here is measurable
+        // on the snapshot load path at 10⁵ entries. The O(n) length
+        // check keeps every leaf row `dim` wide.
         for (p, _) in &entries {
-            debug_assert_eq!(p.len(), dim, "point dimension mismatch");
-            debug_assert!(p.iter().all(|v| v.is_finite()), "point must be finite");
+            assert_eq!(p.as_ref().len(), dim, "point dimension mismatch");
+            debug_assert!(
+                p.as_ref().iter().all(|v| v.is_finite()),
+                "point must be finite"
+            );
         }
         let len = entries.len();
+        let point = |i: usize| entries[i].0.as_ref();
         // Tile indices, not entries: the sorts move one machine word
-        // per element instead of a (point, payload) tuple, and the
-        // entries themselves move exactly once, into their leaf.
-        let leaf_index_groups = str_pack(
-            (0..len).collect(),
-            dim,
-            config.max_entries,
-            &|&i: &usize, axis| entries[i].0[axis],
-        );
-        let mut slots: Vec<Option<(Vec<f64>, T)>> = entries.into_iter().map(Some).collect();
-        let mut level: Vec<(Rect, Node<T>)> = leaf_index_groups
-            .into_iter()
+        // per element, and each point is copied once, into its leaf.
+        let mut level: Vec<Node<T>> =
+            str_pack((0..len).collect(), dim, config.max_entries, &|&i, axis| {
+                point(i)[axis]
+            })
+            .iter()
             .map(|g| {
-                let node = Node::Leaf(
-                    g.into_iter()
-                        // lint: allow(unwrap) — str_tile emits every index exactly once
-                        .map(|i| slots[i].take().expect("index tiled once"))
-                        .collect(),
+                let (points, payloads) = gather(
+                    dim,
+                    g.len(),
+                    |k| g[k],
+                    |i, out| out.copy_from_slice(point(i)),
+                    |i| &entries[i].1,
                 );
-                (node.bounding_rect(dim), node)
+                Node::Leaf { points, payloads }
             })
             .collect();
+        let width = 2 * dim;
         while level.len() > 1 {
-            level = str_pack(level, dim, config.max_entries, &|e, axis| e.0.center(axis))
-                .into_iter()
-                .map(|g| {
-                    let node = Node::Inner(g.into());
-                    (node.bounding_rect(dim), node)
-                })
-                .collect();
+            let mut level_boxes = vec![0.0; level.len() * width];
+            for (node, out) in level.iter().zip(level_boxes.chunks_exact_mut(width)) {
+                node.bounds_into(dim, out);
+            }
+            let level_box = |i| row(&level_boxes, width, i);
+            level = str_pack(
+                (0..level.len()).collect(),
+                dim,
+                config.max_entries,
+                &|&i, axis| center(level_box(i), axis),
+            )
+            .iter()
+            .map(|g| {
+                let (boxes, children) = gather(
+                    width,
+                    g.len(),
+                    |k| g[k],
+                    |i, out| out.copy_from_slice(level_box(i)),
+                    |i| &level[i],
+                );
+                Node::Inner { boxes, children }
+            })
+            .collect();
         }
-        let root = match level.pop() {
-            Some((_, node)) => node,
-            None => Node::Leaf(Arc::new([])),
-        };
         RTree {
             config,
             dim,
             len,
-            root,
+            root: level.pop().unwrap_or_else(Node::empty),
         }
     }
 
@@ -292,72 +353,91 @@ impl<T: Clone> RTree<T> {
     pub fn height(&self) -> usize {
         let mut h = 1;
         let mut node = &self.root;
-        while let Node::Inner(entries) = node {
+        while let Node::Inner { children, .. } = node {
             h += 1;
-            node = &entries[0].1;
+            node = &children[0];
         }
         h
     }
 
-    /// Inserts a point with payload. The nodes on the path from the
-    /// root to the chosen leaf (and any a split creates) are copied;
-    /// every other node stays shared with clones of this tree.
-    pub fn insert(&mut self, point: Vec<f64>, payload: T) {
+    /// Inserts a point with payload; the point is borrowed and copied
+    /// into its leaf. The nodes on the path from the root to the
+    /// chosen leaf (and any a split creates) are copied; every other
+    /// node stays shared with clones of this tree.
+    pub fn insert(&mut self, point: impl AsRef<[f64]>, payload: T) {
+        let point = point.as_ref();
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
         assert!(point.iter().all(|v| v.is_finite()), "point must be finite");
         self.len += 1;
-        if let Some((r1, n1, r2, n2)) =
-            Self::insert_rec(&mut self.root, point, payload, &self.config, self.dim)
-        {
+        let dim = self.dim;
+        self.root = match Self::insert_rec(&self.root, point, &payload, &self.config, dim) {
+            (node, None) => node,
             // Root split: grow the tree.
-            self.root = Node::Inner(Arc::new([(r1, n1), (r2, n2)]));
-        }
+            (a, Some(b)) => {
+                let pair = [&a, &b];
+                let (boxes, children) = gather(
+                    2 * dim,
+                    2,
+                    |k| k,
+                    |i, out| pair[i].bounds_into(dim, out),
+                    |i| pair[i],
+                );
+                Node::Inner { boxes, children }
+            }
+        };
     }
 
-    /// Recursive insert; returns `Some(split)` if the child split and
-    /// the parent must absorb two nodes instead of one. A node that
-    /// does not split gets a modified copy of its entry array.
+    /// Recursive insert: the node's modified copy, and a second node
+    /// when it split and the parent must absorb two nodes instead of
+    /// one.
     fn insert_rec(
-        node: &mut Node<T>,
-        point: Vec<f64>,
-        payload: T,
+        node: &Node<T>,
+        point: &[f64],
+        payload: &T,
         config: &RTreeConfig,
         dim: usize,
-    ) -> Option<(Rect, Node<T>, Rect, Node<T>)> {
+    ) -> (Node<T>, Option<Node<T>>) {
         match node {
-            Node::Leaf(entries) => {
-                let mut copy = path_copy(entries, 1);
-                copy.push((point, payload));
-                if copy.len() > config.max_entries {
-                    let (a, b) = split(copy, dim, config.min_entries, |(p, _), axis| {
-                        (p[axis], p[axis])
-                    });
-                    let (a, b) = (Node::Leaf(a.into()), Node::Leaf(b.into()));
-                    return Some((a.bounding_rect(dim), a, b.bounding_rect(dim), b));
-                }
-                *entries = copy.into();
-                None
+            Node::Leaf { points, payloads } => {
+                let n = payloads.len();
+                assemble(
+                    n + 1,
+                    dim,
+                    dim,
+                    config,
+                    |i, out| out.copy_from_slice(if i < n { row(points, dim, i) } else { point }),
+                    |i| if i < n { &payloads[i] } else { payload },
+                    |points, payloads| Node::Leaf { points, payloads },
+                )
             }
-            Node::Inner(entries) => {
-                let best = choose_subtree(entries, &point);
-                let mut copy = path_copy(entries, 1);
-                match Self::insert_rec(&mut copy[best].1, point, payload, config, dim) {
-                    // Tighten the bounding rect.
-                    None => copy[best].0 = copy[best].1.bounding_rect(dim),
-                    Some((ra, a, rb, b)) => {
-                        copy[best] = (ra, a);
-                        copy.push((rb, b));
-                        if copy.len() > config.max_entries {
-                            let (x, y) = split(copy, dim, config.min_entries, |(r, _), axis| {
-                                (r.min[axis], r.max[axis])
-                            });
-                            let (x, y) = (Node::Inner(x.into()), Node::Inner(y.into()));
-                            return Some((x.bounding_rect(dim), x, y.bounding_rect(dim), y));
-                        }
+            Node::Inner { boxes, children } => {
+                let best = choose_subtree(boxes, dim, point);
+                let (a, b) = Self::insert_rec(&children[best], point, payload, config, dim);
+                // The children with `best` replaced by `a`, and `b`
+                // appended; the new ones' boxes are computed afresh.
+                let n = children.len();
+                let fresh = |i: usize| {
+                    if i == best {
+                        Some(&a)
+                    } else if i == n {
+                        b.as_ref()
+                    } else {
+                        None
                     }
-                }
-                *entries = copy.into();
-                None
+                };
+                let width = 2 * dim;
+                assemble(
+                    n + usize::from(b.is_some()),
+                    dim,
+                    width,
+                    config,
+                    |i, out| match fresh(i) {
+                        Some(c) => c.bounds_into(dim, out),
+                        None => out.copy_from_slice(row(boxes, width, i)),
+                    },
+                    |i| fresh(i).unwrap_or_else(|| &children[i]),
+                    |boxes, children| Node::Inner { boxes, children },
+                )
             }
         }
     }
@@ -371,70 +451,104 @@ impl<T: Clone> RTree<T> {
     pub fn remove(&mut self, point: &[f64], pred: impl Fn(&T) -> bool) -> Option<T> {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
         // hotpath: allow(hot-alloc) — reinsertion buffer for underflowed nodes, filled only on removes
-        let mut orphans: Vec<(Vec<f64>, T)> = Vec::new();
+        let mut orphans: Vec<Node<T>> = Vec::new();
         let (removed, root) = Self::remove_rec(
             &self.root,
             point,
             &pred,
             self.config.min_entries,
+            self.dim,
             &mut orphans,
         )?;
+        let removed = removed.clone();
         self.root = root;
         self.len -= 1;
         // Collapse a root with a single inner child.
-        while let Node::Inner(entries) = &self.root {
-            let [(_, child)] = &entries[..] else {
+        while let Node::Inner { children, .. } = &self.root {
+            let [child] = &children[..] else {
                 break;
             };
             self.root = child.clone();
         }
-        let n_orphans = orphans.len();
-        for (p, t) in orphans {
-            self.insert(p, t);
+        // Reinserting leaves the count unchanged.
+        let len = self.len;
+        for orphan in &orphans {
+            orphan.each_entry(self.dim, &mut |p, t| self.insert(p, t.clone()));
         }
-        self.len -= n_orphans; // inserts incremented; net unchanged
+        self.len = len;
         Some(removed)
     }
 
     /// Recursive remove. `node` itself is left as it is (subtrees
     /// that are probed but do not hold the point stay shared); on a
     /// hit, returns the payload and the node's modified copy.
-    fn remove_rec(
-        node: &Node<T>,
+    fn remove_rec<'n>(
+        node: &'n Node<T>,
         point: &[f64],
         pred: &impl Fn(&T) -> bool,
         min_entries: usize,
-        orphans: &mut Vec<(Vec<f64>, T)>,
-    ) -> Option<(T, Node<T>)> {
+        dim: usize,
+        orphans: &mut Vec<Node<T>>,
+    ) -> Option<(&'n T, Node<T>)> {
         match node {
-            Node::Leaf(entries) => {
-                let pos = entries
-                    .iter()
-                    .position(|(p, t)| p.as_slice() == point && pred(t))?;
-                let mut copy = path_copy(entries, 0);
-                let (_, t) = copy.remove(pos);
-                Some((t, Node::Leaf(copy.into())))
+            Node::Leaf { points, payloads } => {
+                let pos = points
+                    .chunks_exact(dim)
+                    .zip(payloads.iter())
+                    .position(|(p, t)| p == point && pred(t))?;
+                let (points, rest) = gather(
+                    dim,
+                    payloads.len() - 1,
+                    |k| k + usize::from(k >= pos),
+                    |i, out| out.copy_from_slice(row(points, dim, i)),
+                    |i| &payloads[i],
+                );
+                Some((
+                    &payloads[pos],
+                    Node::Leaf {
+                        points,
+                        payloads: rest,
+                    },
+                ))
             }
-            Node::Inner(entries) => {
-                let dim = point.len();
-                for (i, (rect, child)) in entries.iter().enumerate() {
-                    if !rect.contains_point(point) {
+            Node::Inner { boxes, children } => {
+                let width = 2 * dim;
+                for (i, (b, child)) in boxes.chunks_exact(width).zip(children.iter()).enumerate() {
+                    if !contains(b, point) {
                         continue;
                     }
                     let Some((t, child)) =
-                        Self::remove_rec(child, point, pred, min_entries, orphans)
+                        Self::remove_rec(child, point, pred, min_entries, dim, orphans)
                     else {
                         continue;
                     };
-                    let mut copy = path_copy(entries, 0);
-                    if child.len() < min_entries {
+                    let n = children.len();
+                    let (boxes, children) = if child.len() < min_entries {
                         // Condense: orphan the whole child.
-                        copy.remove(i);
-                        collect_entries(&child, orphans);
+                        orphans.push(child);
+                        gather(
+                            width,
+                            n - 1,
+                            |k| k + usize::from(k >= i),
+                            |c, out| out.copy_from_slice(row(boxes, width, c)),
+                            |c| &children[c],
+                        )
                     } else {
-                        copy[i] = (child.bounding_rect(dim), child);
-                    }
-                    return Some((t, Node::Inner(copy.into())));
+                        gather(
+                            width,
+                            n,
+                            |k| k,
+                            |c, out| {
+                                if c == i {
+                                    child.bounds_into(dim, out);
+                                } else {
+                                    out.copy_from_slice(row(boxes, width, c));
+                                }
+                            },
+                            |c| if c == i { &child } else { &children[c] },
+                        )
+                    };
+                    return Some((t, Node::Inner { boxes, children }));
                 }
                 None
             }
@@ -454,30 +568,30 @@ impl<T: Clone> RTree<T> {
     where
         T: Ord,
     {
-        let r2 = radius * radius;
+        let (dim, r2) = (self.dim, radius * radius);
         // hotpath: allow(hot-alloc) — traversal stack and hit list are the query's working set
         let mut out = Vec::new();
         let mut stack = vec![&self.root];
         while let Some(node) = stack.pop() {
             stats.nodes_visited += 1;
             match node {
-                Node::Leaf(entries) => {
+                Node::Leaf { points, payloads } => {
                     stats.leaves_visited += 1;
-                    for (p, t) in entries.iter() {
-                        stats.entries_checked += 1;
-                        let d2 = dist_sq(p, center);
+                    stats.entries_checked += payloads.len();
+                    scan(points, dim, center, r2, point_term, |i, d2| {
+                        // `scan` passes a NaN sum on; the ball has none.
                         if d2 <= r2 {
-                            out.push((p.as_slice(), t, d2));
+                            out.push((row(points, dim, i), &payloads[i], d2));
                         }
-                    }
+                        r2
+                    });
                 }
-                Node::Inner(entries) => {
-                    for (r, child) in entries.iter() {
-                        stats.entries_checked += 1;
-                        if r.min_dist_sq(center) <= r2 {
-                            stack.push(child);
-                        }
-                    }
+                Node::Inner { boxes, children } => {
+                    stats.entries_checked += children.len();
+                    scan(boxes, 2 * dim, center, r2, box_term, |i, _| {
+                        stack.push(&children[i]);
+                        r2
+                    });
                 }
             }
         }
@@ -492,12 +606,13 @@ impl<T: Clone> RTree<T> {
     /// max-heap the `k` best points seen, by (squared distance,
     /// payload). The search stops at the first node whose MINDIST
     /// exceeds the k-th distance: no point beneath it can enter the
-    /// top `k`, not even on a tie. A point's squared distance stops
-    /// accumulating once it passes the k-th, since the remaining terms
-    /// are non-negative. Equal distances come out in payload order, as
-    /// in [`RTree::within_distance`], so the answer depends only on
-    /// the stored points; the nodes expanded are those whose MINDIST
-    /// is at most the final k-th distance.
+    /// top `k`, not even on a tie. A leaf's points are scored against
+    /// the k-th distance held when their group of [`LANES`] starts,
+    /// and stop accumulating once all of the group has passed it (see
+    /// [`scan`]). Equal distances come out in payload order, as in
+    /// [`RTree::within_distance`], so the answer depends only on the
+    /// stored points; the nodes expanded are those whose MINDIST is at
+    /// most the final k-th distance.
     pub fn knn(&self, center: &[f64], k: usize, stats: &mut QueryStats) -> Vec<(&[f64], &T, f64)>
     where
         T: Ord,
@@ -506,25 +621,24 @@ impl<T: Clone> RTree<T> {
             // hotpath: allow(hot-alloc) — the hit list is the returned artifact; the node queue and the k best are the query's working set
             return Vec::new();
         }
+        let dim = self.dim;
         let mut queue = BinaryHeap::new();
         queue.push(Reverse((0, Carried(&self.root))));
         // `k` comes from the request: a top-k past the stored count
         // must not size the allocation.
         let mut best: BinaryHeap<Hit<'_, T>> = BinaryHeap::with_capacity(k.min(self.len));
         while let Some(Reverse((min_d2, Carried(node)))) = queue.pop() {
-            if f64::from_bits(min_d2) > kth(&best, k) {
+            let bound = kth(&best, k);
+            if f64::from_bits(min_d2) > bound {
                 break;
             }
             stats.nodes_visited += 1;
             match node {
-                Node::Leaf(entries) => {
+                Node::Leaf { points, payloads } => {
                     stats.leaves_visited += 1;
-                    for (p, t) in entries.iter() {
-                        stats.entries_checked += 1;
-                        let Some(d2) = dist_sq_within(p, center, kth(&best, k)) else {
-                            continue;
-                        };
-                        let hit = (d2.to_bits(), t, Carried(p.as_slice()));
+                    stats.entries_checked += payloads.len();
+                    scan(points, dim, center, bound, point_term, |i, d2| {
+                        let hit = (d2.to_bits(), &payloads[i], Carried(row(points, dim, i)));
                         if best.len() < k {
                             best.push(hit);
                         } else if let Some(mut worst) = best.peek_mut() {
@@ -532,17 +646,15 @@ impl<T: Clone> RTree<T> {
                                 *worst = hit;
                             }
                         }
-                    }
+                        kth(&best, k)
+                    });
                 }
-                Node::Inner(entries) => {
-                    let bound = kth(&best, k);
-                    for (r, child) in entries.iter() {
-                        stats.entries_checked += 1;
-                        let d2 = r.min_dist_sq(center);
-                        if d2 <= bound {
-                            queue.push(Reverse((d2.to_bits(), Carried(child))));
-                        }
-                    }
+                Node::Inner { boxes, children } => {
+                    stats.entries_checked += children.len();
+                    scan(boxes, 2 * dim, center, bound, box_term, |i, d2| {
+                        queue.push(Reverse((d2.to_bits(), Carried(&children[i]))));
+                        bound
+                    });
                 }
             }
         }
@@ -560,10 +672,10 @@ impl<T: Clone> RTree<T> {
     ///
     /// A farthest-point sweep first finds a far pair. A dual-tree
     /// branch and bound then visits node pairs farthest first, and
-    /// skips a pair only when its squared MAXDIST
-    /// ([`Rect::max_dist_sq`]) cannot exceed the best pair found so
-    /// far. Rounding is monotone, so no pair of points beneath a
-    /// skipped pair is farther apart in floating point either.
+    /// skips a pair only when its squared MAXDIST ([`max_dist_sq`])
+    /// cannot exceed the best pair found so far. Rounding is monotone,
+    /// so no pair of points beneath a skipped pair is farther apart in
+    /// floating point either.
     pub fn diameter(&self, at_least: f64) -> f64 {
         // The best squared distance of a pair found so far, seeded by
         // hopping to the point farthest from the last while that grows.
@@ -579,22 +691,22 @@ impl<T: Clone> RTree<T> {
             }
         }
         let beats = |bound: f64, best: f64| bound > best && bound.sqrt() > at_least;
-        let root = (self.root.bounding_rect(self.dim), self.root.clone());
+        let (dim, width) = (self.dim, 2 * self.dim);
+        let mut root_box = vec![0.0; width];
+        self.root.bounds_into(dim, &mut root_box);
+        let root = (root_box.as_slice(), &self.root);
         let mut pairs = BinaryHeap::new();
-        pairs.push((
-            root.0.max_dist_sq(&root.0).to_bits(),
-            Carried((&root, &root)),
-        ));
+        pairs.push((max_dist_sq(root.0, root.0).to_bits(), Carried((root, root))));
         while let Some((bound, Carried((a, b)))) = pairs.pop() {
             if !beats(f64::from_bits(bound), best) {
                 break;
             }
             // A node paired with itself: each pair of its children (or
             // points) once.
-            let same = std::ptr::eq(a, b);
-            if let (Node::Leaf(pa), Node::Leaf(pb)) = (&a.1, &b.1) {
-                for (i, (p, _)) in pa.iter().enumerate() {
-                    for (q, _) in &pb[if same { i + 1 } else { 0 }..] {
+            let same = std::ptr::eq(a.1, b.1);
+            if let (Node::Leaf { points: pa, .. }, Node::Leaf { points: pb, .. }) = (a.1, b.1) {
+                for (i, p) in pa.chunks_exact(dim).enumerate() {
+                    for q in pb.chunks_exact(dim).skip(if same { i + 1 } else { 0 }) {
                         best = f64::max(best, dist_sq(p, q));
                     }
                 }
@@ -602,16 +714,22 @@ impl<T: Clone> RTree<T> {
             }
             // Descend both sides. Leaves share one depth, so they meet
             // leaves; should they not, a leaf side stands for itself.
-            fn children<T>(side: &(Rect, Node<T>)) -> &[(Rect, Node<T>)] {
-                match &side.1 {
-                    Node::Inner(c) => c,
-                    Node::Leaf(_) => std::slice::from_ref(side),
+            fn children<'a, T>(
+                (side_box, node): (&'a [f64], &'a Node<T>),
+            ) -> (&'a [f64], &'a [Node<T>]) {
+                match node {
+                    Node::Inner { boxes, children } => (boxes, children),
+                    Node::Leaf { .. } => (side_box, std::slice::from_ref(node)),
                 }
             }
-            let (xs, ys) = (children(a), children(b));
-            for (i, x) in xs.iter().enumerate() {
-                for y in &ys[if same { i } else { 0 }..] {
-                    let bound = x.0.max_dist_sq(&y.0);
+            let ((xb, xs), (yb, ys)) = (children(a), children(b));
+            for (i, x) in xb.chunks_exact(width).zip(xs).enumerate() {
+                for y in yb
+                    .chunks_exact(width)
+                    .zip(ys)
+                    .skip(if same { i } else { 0 })
+                {
+                    let bound = max_dist_sq(x.0, y.0);
                     if beats(bound, best) {
                         pairs.push((bound.to_bits(), Carried((x, y))));
                     }
@@ -628,23 +746,23 @@ impl<T: Clone> RTree<T> {
         let mut stack = vec![&self.root];
         while let Some(node) = stack.pop() {
             match node {
-                Node::Leaf(entries) => {
-                    out.extend(entries.iter().map(|(p, t)| (p.as_slice(), t)));
+                Node::Leaf { points, payloads } => {
+                    out.extend(points.chunks_exact(self.dim).zip(payloads.iter()));
                 }
-                Node::Inner(entries) => stack.extend(entries.iter().map(|(_, c)| c)),
+                Node::Inner { children, .. } => stack.extend(children.iter()),
             }
         }
         out
     }
 
-    /// Checks structural invariants (for tests): bounding rectangles
-    /// cover children, node occupancy within [min, max] except the
-    /// root, uniform leaf depth.
+    /// Checks structural invariants (for tests): bounding boxes cover
+    /// children, node occupancy within [min, max] except the root,
+    /// uniform leaf depth.
     pub fn check_invariants(&self) -> Result<(), String> {
         fn depth_of<T>(node: &Node<T>) -> usize {
             match node {
-                Node::Leaf(_) => 1,
-                Node::Inner(entries) => 1 + depth_of(&entries[0].1),
+                Node::Leaf { .. } => 1,
+                Node::Inner { children, .. } => 1 + depth_of(&children[0]),
             }
         }
         fn rec<T>(
@@ -655,31 +773,34 @@ impl<T: Clone> RTree<T> {
             leaf_depth: usize,
             is_root: bool,
         ) -> Result<usize, String> {
+            let n = node.len();
+            if !is_root && n < config.min_entries {
+                return Err(format!("node underflow: {n}"));
+            }
+            if n > config.max_entries {
+                return Err(format!("node overflow: {n}"));
+            }
             match node {
-                Node::Leaf(entries) => {
+                Node::Leaf { points, .. } => {
                     if depth != leaf_depth {
                         return Err(format!("leaf at depth {depth}, expected {leaf_depth}"));
                     }
-                    if !is_root && entries.len() < config.min_entries {
-                        return Err(format!("leaf underflow: {}", entries.len()));
+                    if points.len() != n * dim {
+                        return Err(format!("{} point values for {n} rows", points.len()));
                     }
-                    if entries.len() > config.max_entries {
-                        return Err(format!("leaf overflow: {}", entries.len()));
-                    }
-                    Ok(entries.len())
+                    Ok(n)
                 }
-                Node::Inner(entries) => {
-                    if !is_root && entries.len() < config.min_entries {
-                        return Err(format!("inner underflow: {}", entries.len()));
-                    }
-                    if entries.len() > config.max_entries {
-                        return Err(format!("inner overflow: {}", entries.len()));
+                Node::Inner { boxes, children } => {
+                    if boxes.len() != n * 2 * dim {
+                        return Err(format!("{} box values for {n} rows", boxes.len()));
                     }
                     let mut total = 0;
-                    for (r, child) in entries.iter() {
-                        let cr = child.bounding_rect(dim);
-                        if !(r.contains_point(&cr.min) && r.contains_point(&cr.max)) {
-                            return Err("bounding rect does not cover child".into());
+                    for (b, child) in boxes.chunks_exact(2 * dim).zip(children.iter()) {
+                        let mut child_box = vec![0.0; 2 * dim];
+                        child.bounds_into(dim, &mut child_box);
+                        let (lo, hi) = corners(&child_box);
+                        if !(contains(b, lo) && contains(b, hi)) {
+                            return Err("bounding box does not cover child".into());
                         }
                         total += rec(child, dim, config, depth + 1, leaf_depth, false)?;
                     }
@@ -701,6 +822,217 @@ impl<T> RTree<T> {
     pub fn config(&self) -> RTreeConfig {
         self.config
     }
+}
+
+/// Rows a query scores at once: each is its own dependency chain.
+const LANES: usize = 4;
+
+/// Axes a group of [`LANES`] rows sums between two checks of whether
+/// all of them have passed the bound.
+const BLOCK: usize = 8;
+
+/// Scores the rows of `rows` (`width` values each) against the query
+/// `q`, [`LANES`] at a time, and hands `keep(i, d2)` each row `i` whose
+/// squared distance `d2` is not above the bound held at its group's
+/// start: `bound` for the first group, then what `keep` last returned.
+/// `term(row, j, x)` is a row's term on axis `j`, whose query value is
+/// `x`. A group short of rows repeats its last one, so groups of one
+/// to three rows take the same path.
+///
+/// Each lane sums its terms in axis order from 0.0, exactly as
+/// [`dist_sq`] does, so a kept distance has the one-row sum's bits.
+/// A group stops early only when all its lanes exceed the bound,
+/// checked every [`BLOCK`] axes, and then none of its rows is kept.
+/// The terms are non-negative and rounding is monotone, so a lane past
+/// the bound stays past it: the rows kept, and their order, are those
+/// a one-row sum checked against the same bound would keep.
+fn scan(
+    rows: &[f64],
+    width: usize,
+    q: &[f64],
+    mut bound: f64,
+    term: impl Fn(&[f64], usize, f64) -> f64,
+    mut keep: impl FnMut(usize, f64) -> f64,
+) {
+    let n = rows.len() / width;
+    for first in (0..n).step_by(LANES) {
+        let last = n.min(first + LANES) - 1;
+        let group: [&[f64]; LANES] =
+            std::array::from_fn(|lane| row(rows, width, last.min(first + lane)));
+        let group_bound = bound;
+        for (lane, d2) in lane_sums(&group, q, group_bound, &term)
+            .into_iter()
+            .enumerate()
+            .take(last + 1 - first)
+        {
+            if d2 > group_bound {
+                continue;
+            }
+            bound = keep(first + lane, d2);
+        }
+    }
+}
+
+/// The [`LANES`] rows' sums of `term` over the axes of `q`, each in
+/// axis order, stopping after the first block of [`BLOCK`] axes that
+/// leaves every sum above `bound`.
+#[inline(always)]
+fn lane_sums(
+    rows: &[&[f64]; LANES],
+    q: &[f64],
+    bound: f64,
+    term: &impl Fn(&[f64], usize, f64) -> f64,
+) -> [f64; LANES] {
+    let mut sums = [0.0; LANES];
+    for (b, block) in q.chunks(BLOCK).enumerate() {
+        for (i, &x) in block.iter().enumerate() {
+            let j = b * BLOCK + i;
+            for (sum, row) in sums.iter_mut().zip(rows) {
+                *sum += term(row, j, x);
+            }
+        }
+        if sums.iter().all(|&s| s > bound) {
+            break;
+        }
+    }
+    sums
+}
+
+/// Axis `j`'s term of a point row's squared distance from `x`.
+#[inline(always)]
+fn point_term(p: &[f64], j: usize, x: f64) -> f64 {
+    let d = p[j] - x;
+    d * d
+}
+
+/// Axis `j`'s term of a box row's squared MINDIST (Roussopoulos et
+/// al.) from `x`: the gap `max(lo − x, x − hi, 0)`, squared. Below the
+/// box the gap is `lo − x`, above it `x − hi`, and inside it (or for a
+/// NaN `x`) +0, so the term has the bits of the three-way form. Spelled
+/// with comparisons, each max is one instruction.
+#[inline(always)]
+fn box_term(b: &[f64], j: usize, x: f64) -> f64 {
+    let (below, above) = (b[j] - x, x - b[b.len() / 2 + j]);
+    let gap = if below > above { below } else { above };
+    let d = if gap > 0.0 { gap } else { 0.0 };
+    d * d
+}
+
+/// A box row's min and max corners.
+fn corners(b: &[f64]) -> (&[f64], &[f64]) {
+    b.split_at(b.len() / 2)
+}
+
+/// Midpoint of a box along `axis` (the sort key of STR bulk loading
+/// above the leaves).
+fn center(b: &[f64], axis: usize) -> f64 {
+    let (lo, hi) = corners(b);
+    0.5 * (lo[axis] + hi[axis])
+}
+
+/// Sum of a box's side lengths (its "margin"): the cost node splits
+/// minimize and the insert descent breaks ties by.
+fn margin(b: &[f64]) -> f64 {
+    let (lo, hi) = corners(b);
+    lo.iter().zip(hi).map(|(a, b)| b - a).sum()
+}
+
+/// How much a box's margin grows to cover `p`: the L1 distance from
+/// the point to the box, zero when the point is inside. Unlike volume
+/// it stays informative when the box is flat on some axis, as many
+/// feature-space boxes are.
+fn margin_enlargement(b: &[f64], p: &[f64]) -> f64 {
+    let (lo, hi) = corners(b);
+    lo.iter()
+        .zip(hi)
+        .zip(p)
+        .map(|((lo, hi), x)| (lo - x).max(x - hi).max(0.0))
+        .sum()
+}
+
+/// Whether a box contains the point (boundary inclusive).
+fn contains(b: &[f64], p: &[f64]) -> bool {
+    let (lo, hi) = corners(b);
+    lo.iter()
+        .zip(hi)
+        .zip(p)
+        .all(|((lo, hi), x)| lo <= x && x <= hi)
+}
+
+/// Squared MAXDIST between two boxes: the squared distance of their
+/// farthest corners. Rounding is monotone, so no two points inside the
+/// boxes are farther apart in floating point either
+/// ([`RTree::diameter`] prunes on this bound).
+fn max_dist_sq(a: &[f64], b: &[f64]) -> f64 {
+    let ((a_lo, a_hi), (b_lo, b_hi)) = (corners(a), corners(b));
+    let mut acc = 0.0;
+    for d in 0..a_lo.len() {
+        let far = (a_hi[d] - b_lo[d]).abs().max((b_hi[d] - a_lo[d]).abs());
+        acc += far * far;
+    }
+    acc
+}
+
+/// Row `i` of a flat array of `width`-value rows.
+fn row(rows: &[f64], width: usize, i: usize) -> &[f64] {
+    &rows[i * width..][..width]
+}
+
+/// A node's two arrays, built from `count` entries: the k-th is entry
+/// `pick(k)` of a list whose entry `i` writes its `width`-value row
+/// with `write(i, out)` and has the item `item(i)`. Each array is
+/// allocated once, at its final size, and filled in place: no `Vec` is
+/// filled and then copied into the `Arc`. This is the one place path
+/// copying allocates.
+fn gather<'a, E: Clone + 'a>(
+    width: usize,
+    count: usize,
+    pick: impl Fn(usize) -> usize,
+    write: impl Fn(usize, &mut [f64]),
+    item: impl Fn(usize) -> &'a E,
+) -> (Arc<[f64]>, Arc<[E]>) {
+    // hotpath: allow(hot-alloc) — path copying: one array per node an update modifies
+    let mut rows: Arc<[f64]> = std::iter::repeat_n(0.0, count * width).collect();
+    // Always taken: nothing else holds the new array yet.
+    if let Some(rows) = Arc::get_mut(&mut rows) {
+        for (k, out) in rows.chunks_exact_mut(width).enumerate() {
+            write(pick(k), out);
+        }
+    }
+    let items = (0..count).map(|k| item(pick(k))).cloned().collect();
+    (rows, items)
+}
+
+/// The node holding `count` entries, entry `i` with the row
+/// `write(i, ·)` and the item `item(i)`; past `max_entries`, the two
+/// nodes [`split`] cuts them into. A row is `width` wide: a point
+/// (`dim`), or a box (`2·dim`). `node` makes a node of a row array and
+/// an item array.
+fn assemble<'a, E: Clone + 'a, T>(
+    count: usize,
+    dim: usize,
+    width: usize,
+    config: &RTreeConfig,
+    write: impl Fn(usize, &mut [f64]),
+    item: impl Fn(usize) -> &'a E,
+    node: impl Fn(Arc<[f64]>, Arc<[E]>) -> Node<T>,
+) -> (Node<T>, Option<Node<T>>) {
+    let (rows, items) = gather(width, count, |k| k, write, item);
+    if count <= config.max_entries {
+        return (node(rows, items), None);
+    }
+    let half = |entries: &[usize]| {
+        let (half_rows, half_items) = gather(
+            width,
+            entries.len(),
+            |k| entries[k],
+            |i, out| out.copy_from_slice(row(&rows, width, i)),
+            |i| &items[i],
+        );
+        node(half_rows, half_items)
+    };
+    let (a, b) = split(&rows, dim, width, config.min_entries);
+    (half(&a), Some(half(&b)))
 }
 
 /// Splits decorated `items` into `parts` groups in key order, group
@@ -843,36 +1175,37 @@ fn str_tile<I>(
     }
 }
 
-/// Splits an overflowing node's entries, whose extent on an axis is
-/// `bounds(entry, axis)`, in two. They are sorted along their widest
-/// axis ([`axes_by_spread`]) and cut where the two halves' margins sum
-/// least, with at least `min` entries on each side; of equal sums the
-/// first cut wins.
-fn split<E>(
-    mut entries: Vec<E>,
-    dim: usize,
-    min: usize,
-    bounds: impl Fn(&E, usize) -> (f64, f64),
-) -> (Vec<E>, Vec<E>) {
+/// Splits the entries of an overflowing node, whose rows (`width`
+/// values: a point, or a box with its max corner from `dim` on) are
+/// `rows`, in two, and returns each half's entries. They are sorted
+/// along their widest axis ([`axes_by_spread`]) and cut where the two
+/// halves' margins sum least, with at least `min` entries on each
+/// side; of equal sums the first cut wins.
+fn split(rows: &[f64], dim: usize, width: usize, min: usize) -> (Vec<usize>, Vec<usize>) {
+    let count = rows.len() / width;
+    let bounds = |i: usize, axis| {
+        let r = row(rows, width, i);
+        (r[axis], r[width - dim + axis])
+    };
+    // hotpath: allow(hot-alloc) — per-split sweep state, sized by the fan-out and the dimension
+    let mut entries: Vec<usize> = (0..count).collect();
     // Twice the center: it sorts entries as the center does.
-    let key = |e: &E, axis| {
-        let (lo, hi) = bounds(e, axis);
+    let key = |&i: &usize, axis| {
+        let (lo, hi) = bounds(i, axis);
         lo + hi
     };
     let axis = axes_by_spread(&entries, dim, &key)[0];
     entries.sort_by(|a, b| key(a, axis).total_cmp(&key(b, axis)));
-    let n = entries.len();
-    // hotpath: allow(hot-alloc) — per-split sweep state, sized by the fan-out and the dimension
     let (mut lo, mut hi) = (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]);
     // The margin of `entries[i..]`, for every cut `i` a split may use.
-    let mut right = vec![0.0; n];
-    for i in (min..n).rev() {
-        right[i] = widen(&mut lo, &mut hi, |axis| bounds(&entries[i], axis));
+    let mut right = vec![0.0; count];
+    for i in (min..count).rev() {
+        right[i] = widen(&mut lo, &mut hi, |axis| bounds(entries[i], axis));
     }
     lo.fill(f64::INFINITY);
     hi.fill(f64::NEG_INFINITY);
     let mut best = (f64::INFINITY, min);
-    for (i, e) in entries[..n - min].iter().enumerate() {
+    for (i, &e) in entries[..count - min].iter().enumerate() {
         let left = widen(&mut lo, &mut hi, |axis| bounds(e, axis));
         let cut = i + 1;
         if cut >= min && left + right[cut] < best.0 {
@@ -896,41 +1229,20 @@ fn widen(lo: &mut [f64], hi: &mut [f64], bounds: impl Fn(usize) -> (f64, f64)) -
     margin
 }
 
-/// ChooseSubtree: the child whose box needs the least margin
-/// enlargement to cover `point`, ties to the smaller margin, then to
-/// the lower index. Reads the rects in place; builds none.
-fn choose_subtree<T>(entries: &[(Rect, Node<T>)], point: &[f64]) -> usize {
-    entries
-        .iter()
+/// ChooseSubtree: the child whose box (a row of `boxes`) needs the
+/// least margin enlargement to cover `point`, ties to the smaller
+/// margin, then to the lower index.
+fn choose_subtree(boxes: &[f64], dim: usize, point: &[f64]) -> usize {
+    boxes
+        .chunks_exact(2 * dim)
         .enumerate()
-        .map(|(i, (r, _))| (r.margin_enlargement(point), r.margin(), i))
+        .map(|(i, b)| (margin_enlargement(b, point), margin(b), i))
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)))
         .map_or(0, |(_, _, i)| i)
 }
 
-/// Collects all leaf entries beneath `node` into `out`.
-fn collect_entries<T: Clone>(node: &Node<T>, out: &mut Vec<(Vec<f64>, T)>) {
-    match node {
-        Node::Leaf(entries) => out.extend(entries.iter().cloned()),
-        Node::Inner(entries) => {
-            for (_, child) in entries.iter() {
-                collect_entries(child, out);
-            }
-        }
-    }
-}
-
-/// A node's entries copied into a fresh, unshared array with room for
-/// `extra` more — the one place an update copies a node. The caller
-/// modifies the copy and stores it back (or splits it), so the shared
-/// original is never written to.
-fn path_copy<E: Clone>(entries: &[E], extra: usize) -> Vec<E> {
-    // hotpath: allow(hot-alloc) — path copying: one array per node an update modifies
-    let mut copy = Vec::with_capacity(entries.len() + extra);
-    copy.extend_from_slice(entries);
-    copy
-}
-
+/// The squared Euclidean distance, summed in axis order: the sum every
+/// lane of [`scan`] reproduces bit for bit.
 pub(crate) fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
@@ -943,20 +1255,6 @@ pub(crate) fn sort_hits<T: Ord>(hits: &mut [(&[f64], &T, f64)]) {
     for hit in hits.iter_mut() {
         hit.2 = hit.2.sqrt();
     }
-}
-
-/// `dist_sq(a, b)` if it is at most `bound`, else `None`. The sum runs
-/// in the same order, so a returned value has the same bits; it stops
-/// once the partial sum passes `bound`, as the terms are non-negative.
-fn dist_sq_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        acc += (x - y) * (x - y);
-        if acc > bound {
-            return None;
-        }
-    }
-    Some(acc)
 }
 
 /// A value that rides along in a heap entry without taking part in
@@ -1294,13 +1592,14 @@ mod tests {
         .is_ok());
     }
 
-    /// Addresses of every entry array reachable from `node`.
+    /// Addresses of the row array of every node reachable from `node`
+    /// (a node's item array is copied with its rows).
     fn arrays<T>(node: &Node<T>, out: &mut Vec<*const u8>) {
         match node {
-            Node::Leaf(e) => out.push(Arc::as_ptr(e) as *const u8),
-            Node::Inner(e) => {
-                out.push(Arc::as_ptr(e) as *const u8);
-                for (_, child) in e.iter() {
+            Node::Leaf { points, .. } => out.push(Arc::as_ptr(points) as *const u8),
+            Node::Inner { boxes, children } => {
+                out.push(Arc::as_ptr(boxes) as *const u8);
+                for child in children.iter() {
                     arrays(child, out);
                 }
             }
@@ -1388,13 +1687,12 @@ mod tests {
     /// axis, not across it.
     #[test]
     fn splits_cut_along_the_widest_axis() {
-        let entries: Vec<(Vec<f64>, usize)> =
-            (0..17).map(|i| (vec![1.0, 1.0, i as f64], i)).collect();
-        let (a, b) = split(entries, 3, 6, |(p, _), axis| (p[axis], p[axis]));
+        let pts: Vec<f64> = (0..17).flat_map(|i| [1.0, 1.0, i as f64]).collect();
+        let (a, b) = split(&pts, 3, 3, 6);
         assert!(a.len() >= 6 && b.len() >= 6);
-        let last_a = a.iter().map(|(p, _)| p[2]).fold(f64::MIN, f64::max);
+        let last_a = a.iter().map(|&i| pts[3 * i + 2]).fold(f64::MIN, f64::max);
         assert!(
-            b.iter().all(|(p, _)| p[2] > last_a),
+            b.iter().all(|&i| pts[3 * i + 2] > last_a),
             "halves overlap on axis 2"
         );
     }
@@ -1417,5 +1715,178 @@ mod tests {
             }
         }
         t.check_invariants().unwrap();
+    }
+
+    /// The squared MINDIST of one box row from `q`, through the kernel.
+    fn min_dist_sq(b: &[f64], q: &[f64]) -> f64 {
+        let mut d2 = f64::NAN;
+        scan(b, b.len(), q, f64::INFINITY, box_term, |_, d| {
+            d2 = d;
+            f64::INFINITY
+        });
+        d2
+    }
+
+    /// MINDIST by the three-way branch: `lo − x` below the box, `x −
+    /// hi` above it, else 0.
+    fn three_way_min_dist_sq(b: &[f64], p: &[f64]) -> f64 {
+        let (lo, hi) = corners(b);
+        lo.iter()
+            .zip(hi)
+            .zip(p)
+            .map(|((lo, hi), x)| {
+                let d = if x < lo {
+                    lo - x
+                } else if x > hi {
+                    x - hi
+                } else {
+                    0.0
+                };
+                d * d
+            })
+            .sum()
+    }
+
+    #[test]
+    fn min_dist_cases() {
+        let r = [0.0, 0.0, 2.0, 2.0];
+        // Inside: zero.
+        assert_eq!(min_dist_sq(&r, &[1.0, 1.0]), 0.0);
+        // Face: distance along one axis.
+        assert_eq!(min_dist_sq(&r, &[3.0, 1.0]), 1.0);
+        // Corner: Euclidean to the corner.
+        assert_eq!(min_dist_sq(&r, &[3.0, 3.0]), 2.0);
+        // Boundary: zero, and +0 rather than −0.
+        assert_eq!(min_dist_sq(&r, &[2.0, 2.0]).to_bits(), 0.0f64.to_bits());
+    }
+
+    /// `scan` keeps exactly the rows a one-row sum keeps against the
+    /// same bound, at `dist_sq`'s bits and in row order, for groups of
+    /// one to four rows at every feature space's dimension, with
+    /// bounds that drop no row, some rows and every row; box rows
+    /// score the three-way MINDIST's bits.
+    #[test]
+    fn lanes_match_one_row_sums() {
+        for dim in [3usize, 5, 8, 10, 32, 64] {
+            let q = pseudo_random_points(1, dim, dim as u64).remove(0);
+            for n in 1..=4usize {
+                let pts = pseudo_random_points(n, dim, 31 * n as u64 + dim as u64);
+                let exact: Vec<f64> = pts.iter().map(|p| dist_sq(p, &q)).collect();
+                let (near, far) = exact.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &d| {
+                    (lo.min(d), hi.max(d))
+                });
+                for bound in [f64::INFINITY, 0.5 * (near + far), 0.5 * near] {
+                    let mut kept = Vec::new();
+                    scan(&pts.concat(), dim, &q, bound, point_term, |i, d2| {
+                        kept.push((i, d2.to_bits()));
+                        bound
+                    });
+                    let want: Vec<(usize, u64)> = exact
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &d)| d <= bound)
+                        .map(|(i, d)| (i, d.to_bits()))
+                        .collect();
+                    assert_eq!(kept, want, "dim {dim}, {n} rows, bound {bound}");
+                }
+                // Boxes spanned by the points and their mirror images
+                // through the query's neighborhood: the query falls
+                // inside some boxes on some axes and outside on others.
+                let boxes: Vec<Vec<f64>> = pts
+                    .iter()
+                    .map(|p| {
+                        let other: Vec<f64> =
+                            p.iter().zip(&q).map(|(a, x)| 2.0 * x - a + 1.0).collect();
+                        let lo = p.iter().zip(&other).map(|(a, b)| a.min(*b));
+                        let hi = p.iter().zip(&other).map(|(a, b)| a.max(*b));
+                        lo.chain(hi).collect()
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                scan(
+                    &boxes.concat(),
+                    2 * dim,
+                    &q,
+                    f64::INFINITY,
+                    box_term,
+                    |i, d2| {
+                        got.push((i, d2.to_bits()));
+                        f64::INFINITY
+                    },
+                );
+                let want: Vec<(usize, u64)> = boxes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (i, three_way_min_dist_sq(b, &q).to_bits()))
+                    .collect();
+                assert_eq!(got, want, "dim {dim}, {n} boxes");
+            }
+        }
+    }
+
+    /// A lower bound returned by `keep` applies from the next group
+    /// on: the rows of the group in flight are judged by the bound
+    /// held at its start.
+    #[test]
+    fn lanes_take_the_new_bound_at_the_next_group() {
+        // Squared distances 100, 81, 64, 49 | 36, 25 from the origin.
+        let rows: Vec<f64> = (0..6).map(|i| 10.0 - i as f64).collect();
+        let mut kept = Vec::new();
+        scan(&rows, 1, &[0.0], f64::INFINITY, point_term, |i, _| {
+            kept.push(i);
+            30.0
+        });
+        // The first group keeps all four under the unbounded start;
+        // the second is held to 30, which drops 36 and keeps 25.
+        assert_eq!(kept, [0, 1, 2, 3, 5]);
+    }
+
+    #[test]
+    fn point_box_is_degenerate() {
+        let leaf: Node<u32> = Node::Leaf {
+            points: Arc::new([1.0, 2.0, 3.0]),
+            payloads: Arc::new([0]),
+        };
+        let mut b = vec![0.0; 6];
+        leaf.bounds_into(3, &mut b);
+        assert_eq!(b, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
+        assert_eq!(margin(&b), 0.0);
+        assert!(contains(&b, &[1.0, 2.0, 3.0]));
+        assert!(!contains(&b, &[1.0, 2.0, 3.1]));
+    }
+
+    #[test]
+    fn margin_enlargement_is_the_l1_distance_to_the_box() {
+        let a = [0.0, 0.0, 1.0, 1.0];
+        assert_eq!(margin_enlargement(&a, &[3.0, 0.5]), 2.0);
+        assert_eq!(margin_enlargement(&a, &[-1.0, 3.0]), 3.0);
+        // A point inside (or on the boundary) costs nothing.
+        assert_eq!(margin_enlargement(&a, &[0.2, 1.0]), 0.0);
+        // A flat box still tells points apart.
+        let flat = [0.0, 0.0, 4.0, 0.0];
+        assert!(margin_enlargement(&flat, &[1.0, 0.5]) < margin_enlargement(&flat, &[1.0, 2.0]));
+    }
+
+    #[test]
+    fn max_dist_is_between_farthest_corners() {
+        let a = [0.0, 0.0, 1.0, 1.0];
+        let b = [3.0, -1.0, 4.0, 0.5];
+        // x: 4 − 0; y: max(0.5 − 0, 1 − (−1)) = 2.
+        assert_eq!(max_dist_sq(&a, &b), 16.0 + 4.0);
+        assert_eq!(max_dist_sq(&a, &b), max_dist_sq(&b, &a));
+        // A box against itself: its squared diagonal.
+        assert_eq!(max_dist_sq(&a, &a), 2.0);
+    }
+
+    #[test]
+    fn center_is_midpoint() {
+        let b = [0.0, 2.0, 4.0, 3.0];
+        assert_eq!(center(&b, 0), 2.0);
+        assert_eq!(center(&b, 1), 2.5);
+    }
+
+    #[test]
+    fn margin_sums_side_lengths() {
+        assert_eq!(margin(&[0.0, 0.0, 0.0, 1.0, 2.0, 3.0]), 6.0);
     }
 }

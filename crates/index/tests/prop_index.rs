@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 
+use tdess_features::{FeatureExtractor, FeatureKind};
 use tdess_index::{LinearScan, QueryStats, RTree, RTreeConfig};
 
 fn arb_points(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -191,7 +192,18 @@ proptest! {
     }
 }
 
-/// Points shaped like the 8–64-d feature spaces: some axes constant
+/// The dimension of every feature space: 3, 5, 8, 10, 32 and 64. The
+/// kernel sums axes in blocks of 8, so 3, 5 and 10 end in a partial
+/// block.
+fn feature_dims() -> Vec<usize> {
+    let extractor = FeatureExtractor::default();
+    let mut dims: Vec<usize> = FeatureKind::ALL.map(|k| extractor.dim(k)).to_vec();
+    dims.sort_unstable();
+    dims.dedup();
+    dims
+}
+
+/// Points shaped like the 3–64-d feature spaces: some axes constant
 /// over the whole set (an always-empty histogram bin), and values drawn
 /// from a small pool, so duplicates and distance ties are common.
 fn arb_feature_points(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -234,22 +246,24 @@ fn brute_force_diameter(points: &[&[f64]]) -> f64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// In 8, 32 and 64 dimensions, trees built three ways — STR bulk
-    /// loading, one insert at a time, and bulk loading followed by
-    /// inserts and removes — answer `knn` and `within_distance`
-    /// exactly as the linear scan does (payloads, order and distance
-    /// bits), and `diameter` is the brute-force pairwise maximum bit
-    /// for bit.
+    /// At every feature space's dimension, trees built three ways —
+    /// STR bulk loading, one insert at a time, and bulk loading
+    /// followed by inserts and removes — answer `knn` and
+    /// `within_distance` exactly as the linear scan does (payloads,
+    /// order and distance bits), and `diameter` is the brute-force
+    /// pairwise maximum bit for bit.
     #[test]
     fn high_dimensional_trees_match_linear_however_built(
-        dim in 0usize..3,
+        dim in 0usize..6,
         pts in arb_feature_points(64),
         removed in prop::collection::vec(any::<bool>(), 200),
         qi in 0usize..200, k in 1usize..30, r in 0.0f64..1.5,
     ) {
-        let dim = [8, 32, 64][dim];
+        let dims = feature_dims();
+        prop_assert_eq!(&dims, &[3, 5, 8, 10, 32, 64]);
+        let dim = dims[dim];
         let pts: Vec<Vec<f64>> = pts.into_iter().map(|p| p[..dim].to_vec()).collect();
         let config = RTreeConfig { max_entries: 8, min_entries: 3 };
         let entries: Vec<(Vec<f64>, usize)> = pts.iter().cloned().zip(0..).collect();

@@ -324,9 +324,9 @@ fn requests_that_would_panic_the_core_get_typed_errors() {
     assert!(matches!(err, WireError::Remote(e) if e.kind == ErrorKind::Malformed));
 
     // Submitted vectors and weights the core would index with or
-    // assert on: a vector one value short, a NaN, too few weights and
-    // a negative weight. Each is Malformed, and the connection stays
-    // good after each.
+    // assert on: a vector one value short, a NaN, a value whose square
+    // overflows a distance, too few weights and a negative weight.
+    // Each is Malformed, and the connection stays good after each.
     let mi = Query::top_k(FeatureKind::MomentInvariants, 3);
     let weighted = |w: Vec<f64>| Query {
         weights: Weights(Some(w)),
@@ -336,9 +336,12 @@ fn requests_that_would_panic_the_core_get_typed_errors() {
     short.moment_invariants.pop();
     let mut nan = features.clone();
     nan.moment_invariants[1] = f64::NAN;
+    let mut huge = features.clone();
+    huge.moment_invariants[2] = 1e200;
     for (sent, query) in [
         (&short, mi.clone()),
         (&nan, mi.clone()),
+        (&huge, mi.clone()),
         (&features, weighted(vec![1.0, 1.0])),
         (&features, weighted(vec![1.0, -1.0, 1.0])),
     ] {
@@ -357,9 +360,10 @@ fn requests_that_would_panic_the_core_get_typed_errors() {
     client.ping().unwrap();
 }
 
-/// Meshes the core would panic on — a dangling index, a NaN vertex,
-/// coordinates whose moments overflow — draw typed errors from a
-/// one-worker server, and that one worker still answers a fresh
+/// Meshes the core would panic on or answer with non-finite numbers
+/// — a dangling index, a NaN vertex, coordinates whose moments
+/// overflow, features whose distances overflow — draw typed errors
+/// from a one-worker server, and that one worker still answers a fresh
 /// connection after each.
 #[test]
 fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
@@ -394,7 +398,11 @@ fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
         vec![v, v + Vec3::X, Vec3::new(1e7, 1e7 + 1.0, 1e8)],
         vec![[1, 1, 2]],
     );
+    // Finite features, but a volume of 1e160 among its geometric
+    // parameters: distances to it would overflow.
+    let vast = primitives::box_mesh(Vec3::new(1e56, 1e56, 1e48));
     let query = Query::top_k(FeatureKind::MomentInvariants, 3);
+    let gp_query = Query::top_k(FeatureKind::GeometricParams, 3);
     let plan = MultiStepPlan {
         steps: vec![FeatureKind::MomentInvariants],
         candidates: 3,
@@ -402,7 +410,7 @@ fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
     };
 
     type Send<'a> = Box<dyn Fn(&mut NetClient) -> Result<(), WireError> + 'a>;
-    let cases: [(&str, ErrorKind, Send); 8] = [
+    let cases: [(&str, ErrorKind, Send); 10] = [
         (
             "SearchMesh with a bad index",
             ErrorKind::Malformed,
@@ -442,6 +450,16 @@ fn hostile_meshes_get_typed_errors_and_the_worker_survives() {
             "SearchMesh of a zero-area triangle near 1e7",
             ErrorKind::Extraction,
             Box::new(|c| c.search_mesh(&sliver, &query).map(drop)),
+        ),
+        (
+            "Insert of a 1e56 x 1e56 x 1e48 box",
+            ErrorKind::Extraction,
+            Box::new(|c| c.insert("vast", &vast).map(drop)),
+        ),
+        (
+            "SearchMesh of a 1e56 x 1e56 x 1e48 box",
+            ErrorKind::Extraction,
+            Box::new(|c| c.search_mesh(&vast, &gp_query).map(drop)),
         ),
     ];
     for (what, kind, send) in &cases {

@@ -36,7 +36,8 @@ tasks:
   waivers [--json] [--root <dir>]
          list every lint/audit/hotpath/determinism waiver in the
          tree; fails on malformed waivers (missing reason, unknown
-         rule)
+         rule) and on stale ones (no finding of the rule on the
+         line they excuse)
 
 flags:
   --json     emit machine-readable output
@@ -171,8 +172,9 @@ fn waivers_command(args: &[String]) -> ExitCode {
 
     // Cross-reference against all passes: a waiver is "active" when a
     // finding of its rule sits on its target line, "stale" otherwise
-    // (stale is informational — the code it excused has moved or been
-    // fixed). Unknown rule names can never match and are hard errors.
+    // (the code it excused has moved or been fixed, so the waiver must
+    // move or go). Stale waivers and unknown rule names, which can
+    // never match, are hard errors.
     let lint_rules = [
         Rule::Unwrap.name(),
         Rule::FloatCmp.name(),
@@ -303,7 +305,7 @@ fn waivers_command(args: &[String]) -> ExitCode {
         );
     }
 
-    if !inventory.malformed.is_empty() || unknown_rule > 0 {
+    if !inventory.malformed.is_empty() || unknown_rule > 0 || stale > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

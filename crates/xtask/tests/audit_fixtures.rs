@@ -106,6 +106,28 @@ fn malformed_waivers_fail_the_inventory() {
     );
 }
 
+/// A well-formed waiver with no finding of its rule on its line is
+/// stale, and a stale waiver fails the inventory as a malformed one
+/// does.
+#[test]
+fn stale_waivers_fail_the_inventory() {
+    let inv = waiver_inventory(&fixture("stale"), None).unwrap();
+    assert_eq!(inv.entries.len(), 1, "{:?}", inv.entries);
+    assert!(inv.malformed.is_empty(), "{:?}", inv.malformed);
+
+    let bin = env!("CARGO_BIN_EXE_xtask");
+    let out = Command::new(bin)
+        .args(["waivers", "--json", "--root"])
+        .arg(fixture("stale"))
+        .output()
+        .expect("run xtask");
+    assert_eq!(out.status.code(), Some(1));
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json.contains("\"stale\": 1"), "json: {json}");
+    assert!(json.contains("\"status\": \"stale\""), "json: {json}");
+    assert!(json.contains("\"malformed\": 0"), "json: {json}");
+}
+
 #[test]
 fn waivers_inventory_is_clean_on_negative_fixture() {
     let bin = env!("CARGO_BIN_EXE_xtask");

@@ -152,6 +152,24 @@ fn flipped_payload_byte_fails_checksum() {
         }
         other => panic!("expected Corrupt, got {other:?}"),
     }
+    // The flip pushed a value past ±1e150: with the FEAT checksum
+    // patched to match, the value check is what rejects the file.
+    let len_at = |b: &[u8], off: usize| u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
+    let shps_header = 32 + len_at(&bytes, 16) as usize;
+    let feat_header = shps_header + 20 + len_at(&bytes, shps_header + 4) as usize;
+    let feat = feat_header + 20;
+    let sum =
+        threedess::core::checksum64(&bytes[feat..feat + len_at(&bytes, feat_header + 4) as usize]);
+    bytes[feat_header + 12..feat_header + 20].copy_from_slice(&sum.to_le_bytes());
+    match load_bytes("outofrange.tdss", &bytes).expect_err("out-of-range value must fail") {
+        PersistError::Corrupt {
+            section, reason, ..
+        } => {
+            assert_eq!(section, "FEAT");
+            assert!(reason.contains("values beyond ±1e150"), "{reason}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
 }
 
 #[test]
