@@ -28,7 +28,15 @@
 //!   and `SearchServer::insert` (extraction included) of the same
 //!   fixed set of real family parts, then `SearchServer::remove` of
 //!   those ids, are timed one by one; p50/p90 per scale show how the
-//!   cost of a write grows with database size.
+//!   cost of a write grows with database size. The parts are outliers
+//!   among the synthetic shapes, so some of them end a diameter: the
+//!   row counts the removes that recompute a space's `dmax` (a leaving
+//!   vector at distance `dmax` from a stored one), the price of exact
+//!   scores;
+//! * **worst-case remove** — a synthetic shape beyond every stored one
+//!   in every space, added before the server is built, ends every
+//!   diameter, so its `SearchServer::remove` recomputes all seven:
+//!   [`WITNESS_REMOVES`] fresh servers each time that remove.
 //!
 //! Outputs:
 //! * `BENCH_scale.json` — machine-readable numbers;
@@ -43,12 +51,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdess_bench::{quantile, write_bench_json, write_or_die, CORPUS_SEED};
 use tdess_core::{
-    load_from_path, save_to_path, save_to_path_binary, Query, SearchHit, SearchServer,
-    ShapeDatabase,
+    load_from_path, save_to_path, save_to_path_binary, weighted_distance, Query, SearchHit,
+    SearchServer, ShapeDatabase, Weights,
 };
 use tdess_dataset::{synth_corpus, Family};
 use tdess_eval::render_table;
-use tdess_features::{FeatureExtractor, FeatureKind};
+use tdess_features::{FeatureExtractor, FeatureKind, FeatureSet};
 use tdess_geom::TriMesh;
 use tdess_index::{QueryStats, RTree, RTreeConfig};
 
@@ -66,6 +74,9 @@ const JSON_MAX_SHAPES: usize = 10_000;
 
 /// Timed inserts (and then removes) per scale.
 const WRITES: usize = 50;
+
+/// Timed removes of the shape that ends every diameter, per scale.
+const WITNESS_REMOVES: usize = 5;
 
 /// Entries a churned tree may check per query, as a multiple of its
 /// bulk-loaded tree's; beyond it inserts have degraded the index.
@@ -89,6 +100,11 @@ struct WriteNumbers {
     insert_p90_ms: f64,
     remove_p50_ms: f64,
     remove_p90_ms: f64,
+    /// Removes that recomputed at least one space's `dmax`.
+    recomputing_removes: usize,
+    /// Median and slowest remove of the shape that ends every diameter.
+    witness_remove_p50_ms: f64,
+    witness_remove_max_ms: f64,
 }
 
 /// Top-10 kNN cost in one feature space: mean µs and entries checked
@@ -205,6 +221,9 @@ fn main() {
             format!("{:.2}", writes.insert_p90_ms),
             format!("{:.3}", writes.remove_p50_ms),
             format!("{:.3}", writes.remove_p90_ms),
+            format!("{} of {WRITES}", writes.recomputing_removes),
+            format!("{:.2}", writes.witness_remove_p50_ms),
+            format!("{:.2}", writes.witness_remove_max_ms),
         ]);
 
         let persist_json = {
@@ -237,6 +256,10 @@ fn main() {
             "insert_p90_ms": writes.insert_p90_ms,
             "remove_p50_ms": writes.remove_p50_ms,
             "remove_p90_ms": writes.remove_p90_ms,
+            "removes_recomputing_dmax": writes.recomputing_removes,
+            "witness_remove_samples": WITNESS_REMOVES,
+            "witness_remove_p50_ms": writes.witness_remove_p50_ms,
+            "witness_remove_max_ms": writes.witness_remove_max_ms,
         });
         let spaces_json: Vec<serde_json::Value> = spaces
             .iter()
@@ -291,11 +314,15 @@ fn main() {
         "insert p90 ms",
         "remove p50 ms",
         "remove p90 ms",
+        "removes recomputing dmax",
+        "all-space witness remove p50 ms",
+        "max ms",
     ];
     let write_table = render_table(&write_headers, &write_rows);
     let write_title = format!(
         "Write latency through SearchServer — {WRITES} inserts of real parts \
-         (extraction included), then {WRITES} removes of those ids"
+         (extraction included), then {WRITES} removes of those ids; and {WITNESS_REMOVES} \
+         removes of a shape that ends the diameter in every space"
     );
     println!("\n{write_title}");
     println!("{write_table}");
@@ -447,9 +474,11 @@ fn assert_identical_results(a: &ShapeDatabase, b: &ShapeDatabase, format: &str) 
 
 /// Times `SearchServer::insert` of every part, then
 /// `SearchServer::remove` of the ids just inserted, one write at a
-/// time; the database ends at the size it started at.
+/// time; the database ends at the size it started at. Then times the
+/// worst-case remove ([`witness_remove_ms`]).
 fn write_numbers(db: ShapeDatabase, parts: &[(String, TriMesh)]) -> WriteNumbers {
     let n = db.len();
+    let mut witness_ms = witness_remove_ms(&db);
     let server = SearchServer::new(db);
     let mut insert_ms = Vec::with_capacity(parts.len());
     let mut ids = Vec::with_capacity(parts.len());
@@ -467,7 +496,9 @@ fn write_numbers(db: ShapeDatabase, parts: &[(String, TriMesh)]) -> WriteNumbers
         }
     }
     let mut remove_ms = Vec::with_capacity(ids.len());
+    let mut recomputing_removes = 0;
     for id in ids {
+        let recomputes = recomputes_dmax(&server.snapshot(), id);
         let t0 = Instant::now();
         let removed = server.remove(id);
         remove_ms.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -475,6 +506,7 @@ fn write_numbers(db: ShapeDatabase, parts: &[(String, TriMesh)]) -> WriteNumbers
             eprintln!("error: remove of {id} at {n}: {e}");
             std::process::exit(1);
         }
+        recomputing_removes += usize::from(recomputes);
     }
     if server.len() != n {
         eprintln!(
@@ -483,12 +515,87 @@ fn write_numbers(db: ShapeDatabase, parts: &[(String, TriMesh)]) -> WriteNumbers
         );
         std::process::exit(1);
     }
+    witness_ms.sort_by(f64::total_cmp);
     WriteNumbers {
         insert_p50_ms: quantile(&insert_ms, 0.5),
         insert_p90_ms: quantile(&insert_ms, 0.9),
         remove_p50_ms: quantile(&remove_ms, 0.5),
         remove_p90_ms: quantile(&remove_ms, 0.9),
+        recomputing_removes,
+        witness_remove_p50_ms: quantile(&witness_ms, 0.5),
+        witness_remove_max_ms: witness_ms.last().copied().unwrap_or(f64::NAN),
     }
+}
+
+/// Whether removing shape `id` makes `db` recompute a space's `dmax`:
+/// its vector lies at distance `dmax` (which is positive) from another
+/// stored one — the condition `ShapeDatabase::remove` tests with
+/// `RTree::farthest`, here by a scan.
+fn recomputes_dmax(db: &ShapeDatabase, id: u64) -> bool {
+    let Some(leaving) = db.get(id) else {
+        return false;
+    };
+    FeatureKind::ALL.into_iter().any(|kind| {
+        let dmax = db.dmax(kind);
+        let x = leaving.features.get(kind);
+        dmax > 0.0
+            && db.shapes().iter().any(|s| {
+                s.id != id && weighted_distance(x, s.features.get(kind), &Weights::unit()) >= dmax
+            })
+    })
+}
+
+/// Adds to a copy of `db` a synthetic shape beyond every stored one in
+/// every space (each coordinate past the stored maximum by the stored
+/// span plus one), so it ends every space's diameter, and times
+/// `SearchServer::remove` of it on [`WITNESS_REMOVES`] fresh servers:
+/// each remove recomputes all seven diameters.
+fn witness_remove_ms(db: &ShapeDatabase) -> Vec<f64> {
+    let Some(first) = db.shapes().iter().next() else {
+        return Vec::new();
+    };
+    let beyond = |kind: FeatureKind| -> Vec<f64> {
+        (0..db.extractor().dim(kind))
+            .map(|d| {
+                let values = db.shapes().iter().map(|s| s.features.get(kind)[d]);
+                let (lo, hi) = values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                    (lo.min(v), hi.max(v))
+                });
+                hi + (hi - lo) + 1.0
+            })
+            .collect()
+    };
+    let features = FeatureSet {
+        moment_invariants: beyond(FeatureKind::MomentInvariants),
+        geometric: beyond(FeatureKind::GeometricParams),
+        principal_moments: beyond(FeatureKind::PrincipalMoments),
+        eigenvalues: beyond(FeatureKind::Eigenvalues),
+        higher_order: beyond(FeatureKind::HigherOrder),
+        shape_distribution: beyond(FeatureKind::ShapeDistribution),
+        shell_histogram: beyond(FeatureKind::ShellHistogram),
+    };
+    let mut with_witness = db.clone();
+    let witness = with_witness.insert_precomputed("witness", first.mesh.clone(), features);
+    (0..WITNESS_REMOVES)
+        .map(|_| {
+            let server = SearchServer::new(with_witness.clone());
+            if !recomputes_dmax(&server.snapshot(), witness) {
+                eprintln!("error: the witness shape ends no diameter");
+                std::process::exit(1);
+            }
+            let t0 = Instant::now();
+            let removed = server.remove(witness);
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            let restored = FeatureKind::ALL
+                .iter()
+                .all(|&k| server.snapshot().dmax(k).to_bits() == db.dmax(k).to_bits());
+            if removed.is_err() || !restored {
+                eprintln!("error: removing the witness did not restore every dmax");
+                std::process::exit(1);
+            }
+            ms
+        })
+        .collect()
 }
 
 /// Per feature space: top-10 kNN over [`QUERIES`] unseen shapes on the

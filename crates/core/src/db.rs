@@ -15,6 +15,7 @@ use tdess_geom::TriMesh;
 use tdess_index::{QueryStats, RTree, RTreeConfig};
 use tdess_obs::{Stage, StageTimer, TagValue};
 
+use crate::shapes::{ShapeList, Shapes};
 use crate::similarity::{similarity, threshold_to_radius, weighted_distance, Weights};
 
 /// A database shape identifier.
@@ -136,13 +137,24 @@ impl From<NormalizeError> for DbError {
 ///
 /// # Cloning
 ///
-/// Clones share structure. Stored shapes sit behind `Arc`s and the
-/// R-trees share their nodes ([`RTree`] clones are O(1)), so a clone
-/// copies one pointer per shape and never a mesh, a feature vector or
-/// a tree node. Inserting into or removing from either copy then
-/// copies only the tree nodes on the paths it changes; the other copy
-/// is unaffected. This is how [`crate::SearchServer`] derives each new
-/// snapshot from the last.
+/// Clones share structure. Stored shapes sit behind `Arc`s in chunks
+/// of a few hundred that are themselves shared ([`crate::shapes`]),
+/// and the R-trees share their nodes ([`RTree`] clones are O(1)), so a
+/// clone copies one pointer per chunk and never a shape, a mesh, a
+/// feature vector or a tree node. Inserting into or removing from
+/// either copy then copies only the chunk it changes and the tree
+/// nodes on the paths it changes; the other copy is unaffected. This
+/// is how [`crate::SearchServer`] derives each new snapshot from the
+/// last.
+///
+/// # `dmax`
+///
+/// Each feature space's `dmax` is the exact diameter of the stored
+/// vectors after every write, bit for bit, so scores depend only on
+/// the stored set. An insert asks each tree for the point farthest
+/// from the new vector ([`RTree::farthest`]). A remove recomputes a
+/// space's diameter ([`RTree::diameter`]) only when the leaving vector
+/// was at distance `dmax` from a stored one.
 ///
 /// # Persistence
 ///
@@ -156,15 +168,11 @@ pub struct ShapeDatabase {
     /// In strictly ascending id order: ids are handed out in
     /// increasing order, removal keeps the order, and loading rejects
     /// anything else.
-    shapes: Vec<Arc<StoredShape>>,
-    /// `shapes[i].id` for every `i`, kept contiguous so a lookup by id
-    /// is a binary search that never leaves this array.
-    ids: Vec<ShapeId>,
+    shapes: ShapeList,
     /// One R-tree per feature space, indexed by `FeatureKind as usize`.
     indexes: [RTree<ShapeId>; FeatureKind::ALL.len()],
     /// Diameter (max pairwise distance) per feature space, indexed by
-    /// `FeatureKind as usize` and maintained incrementally; normalizes
-    /// similarity (Eq. 4.4).
+    /// `FeatureKind as usize`; normalizes similarity (Eq. 4.4).
     dmax: [f64; FeatureKind::ALL.len()],
 }
 
@@ -175,8 +183,7 @@ impl ShapeDatabase {
         ShapeDatabase {
             extractor,
             next_id: 1,
-            shapes: Vec::new(),
-            ids: Vec::new(),
+            shapes: ShapeList::default(),
             indexes: FeatureKind::ALL
                 .map(|kind| RTree::new(extractor.dim(kind), RTreeConfig::default())),
             dmax: [0.0; FeatureKind::ALL.len()],
@@ -202,23 +209,18 @@ impl ShapeDatabase {
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.shapes.is_empty()
+        self.shapes.len() == 0
     }
 
     /// All stored shapes, in insertion order (which is ascending id
     /// order).
-    pub fn shapes(&self) -> &[Arc<StoredShape>] {
-        &self.shapes
+    pub fn shapes(&self) -> Shapes<'_> {
+        self.shapes.view()
     }
 
     /// Looks up a shape by id.
     pub fn get(&self, id: ShapeId) -> Option<&StoredShape> {
-        self.slot(id).map(|i| &*self.shapes[i])
-    }
-
-    /// Position of `id` in `shapes`, by binary search.
-    fn slot(&self, id: ShapeId) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
+        self.shapes.get(id).map(|s| &**s)
     }
 
     /// Current similarity-normalization diameter for a feature space.
@@ -226,22 +228,32 @@ impl ShapeDatabase {
         self.dmax[kind as usize]
     }
 
-    /// Checks every structural invariant: the id order of
-    /// [`ShapeDatabase::shapes`], and each feature space's R-tree
+    /// Checks every structural invariant: the id order and chunking
+    /// of [`ShapeDatabase::shapes`], each feature space's R-tree
     /// ([`RTree::check_invariants`]) holding one entry per stored
-    /// shape. O(n); meant for tests.
+    /// shape, and each space's `dmax` having the bits of the exact
+    /// diameter of its tree ([`RTree::diameter`]). At least O(n);
+    /// meant for tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if ids_in_order(&self.shapes, self.next_id)? != self.ids {
-            return Err("id array out of step with the stored shapes".into());
-        }
-        for (kind, tree) in FeatureKind::ALL.into_iter().zip(&self.indexes) {
+        self.shapes.check(self.next_id)?;
+        for ((kind, tree), &dmax) in FeatureKind::ALL
+            .into_iter()
+            .zip(&self.indexes)
+            .zip(&self.dmax)
+        {
             tree.check_invariants()
                 .map_err(|e| format!("{kind:?} index: {e}"))?;
-            if tree.len() != self.shapes.len() {
+            if tree.len() != self.len() {
                 return Err(format!(
                     "{kind:?} index holds {} entries for {} shapes",
                     tree.len(),
-                    self.shapes.len()
+                    self.len()
+                ));
+            }
+            let exact = tree.diameter(0.0);
+            if dmax.to_bits() != exact.to_bits() {
+                return Err(format!(
+                    "{kind:?} dmax is {dmax:e}, the stored diameter {exact:e}"
                 ));
             }
         }
@@ -264,20 +276,31 @@ impl ShapeDatabase {
         mesh: TriMesh,
         features: FeatureSet,
     ) -> ShapeId {
-        // Maintain the diameters incrementally: the new point can only
-        // extend a space's dmax via its distance to existing points.
-        // One pass over the shapes serves every space, so each stored
-        // shape is dereferenced once.
-        for s in &self.shapes {
-            for (kind, best) in FeatureKind::ALL.into_iter().zip(&mut self.dmax) {
-                let d =
-                    weighted_distance(features.get(kind), s.features.get(kind), &Weights::unit());
-                if d > *best {
-                    *best = d;
-                }
-            }
+        let id = self.next_id;
+        self.next_id += 1;
+        let shape = Arc::new(StoredShape {
+            id,
+            name: name.into(),
+            mesh,
+            features,
+        });
+        self.shapes.push(Arc::clone(&shape));
+        // The new point can widen a space's diameter only by its
+        // distance to a stored point, and `farthest` returns the
+        // largest one that reaches `dmax`, bit for bit.
+        let timer = StageTimer::start(Stage::DmaxUpdate);
+        for ((kind, tree), dmax) in FeatureKind::ALL
+            .into_iter()
+            .zip(&self.indexes)
+            .zip(&mut self.dmax)
+        {
+            *dmax = dmax.max(tree.farthest(shape.features.get(kind), *dmax));
         }
-        self.insert_indexed(name, mesh, features)
+        let _stage = timer.handoff(Stage::IndexUpdate);
+        for (kind, tree) in FeatureKind::ALL.into_iter().zip(&mut self.indexes) {
+            tree.insert(shape.features.get(kind), id);
+        }
+        id
     }
 
     /// Inserts a batch of shapes with precomputed features. Ids are
@@ -298,7 +321,7 @@ impl ShapeDatabase {
     ) -> Vec<ShapeId> {
         // A handful of inserts into a large database does not amortize
         // an O(n log n) rebuild of every tree; keep those incremental.
-        if items.len() * 4 < self.shapes.len() {
+        if items.len() * 4 < self.len() {
             return items
                 .into_iter()
                 .map(|(name, mesh, features)| self.insert_precomputed(name, mesh, features))
@@ -309,7 +332,6 @@ impl ShapeDatabase {
             .map(|(name, mesh, features)| {
                 let id = self.next_id;
                 self.next_id += 1;
-                self.ids.push(id);
                 self.shapes.push(Arc::new(StoredShape {
                     id,
                     name,
@@ -319,9 +341,10 @@ impl ShapeDatabase {
                 id
             })
             .collect();
-        self.indexes = build_indexes(&self.extractor, &self.shapes, self.index_config());
-        // Every build and insert keeps `dmax` at or above the stored
-        // diameter, so seeding the search with it changes no value.
+        self.indexes = build_indexes(&self.extractor, self.shapes(), self.index_config());
+        // `dmax` is the diameter of the shapes stored before the batch,
+        // which the batch cannot shrink, so seeding the search with it
+        // changes no value.
         for (tree, dmax) in self.indexes.iter().zip(&mut self.dmax) {
             *dmax = tree.diameter(*dmax);
         }
@@ -342,7 +365,9 @@ impl ShapeDatabase {
     /// The extractor config and each feature vector's length and
     /// finiteness are checked by the decoders, which share
     /// `snapshot::check_extractor` and `snapshot::check_vector`; the
-    /// checks that span parts run here.
+    /// checks that span parts run here. A stored `dmax` is trusted:
+    /// every writer stores the exact diameter, and recomputing it would
+    /// add seconds to a load at 10⁵ shapes.
     pub(crate) fn from_loaded_parts(
         extractor: FeatureExtractor,
         next_id: ShapeId,
@@ -358,55 +383,38 @@ impl ShapeDatabase {
                 ));
             }
         }
-        let ids = ids_in_order(&shapes, next_id)?;
-        let indexes = build_indexes(&extractor, &shapes, config);
+        let shapes = ShapeList::from_loaded(shapes, next_id)?;
+        let indexes = build_indexes(&extractor, shapes.view(), config);
         Ok(ShapeDatabase {
             extractor,
             next_id,
             shapes,
-            ids,
             indexes,
             dmax,
         })
     }
 
-    /// Stores a shape and updates every index, leaving `dmax`
-    /// maintenance to the caller.
-    fn insert_indexed(
-        &mut self,
-        name: impl Into<String>,
-        mesh: TriMesh,
-        features: FeatureSet,
-    ) -> ShapeId {
-        let id = self.next_id;
-        self.next_id += 1;
-
-        for (kind, tree) in FeatureKind::ALL.into_iter().zip(&mut self.indexes) {
-            tree.insert(features.get(kind), id);
-        }
-
-        self.ids.push(id);
-        self.shapes.push(Arc::new(StoredShape {
-            id,
-            name: name.into(),
-            mesh,
-            features,
-        }));
-        id
-    }
-
     /// Removes a shape from the database and all indexes, returning
     /// it (still shared with any snapshot that holds it).
     pub fn remove(&mut self, id: ShapeId) -> Result<Arc<StoredShape>, DbError> {
-        let slot = self.slot(id).ok_or(DbError::UnknownShape(id))?;
-        self.ids.remove(slot);
-        let shape = self.shapes.remove(slot);
+        let shape = self.shapes.remove(id).ok_or(DbError::UnknownShape(id))?;
+        let timer = StageTimer::start(Stage::IndexUpdate);
         for (kind, tree) in FeatureKind::ALL.into_iter().zip(&mut self.indexes) {
             tree.remove(shape.features.get(kind), |&p| p == id);
         }
-        // Note: dmax is left as an upper bound (recomputing the exact
-        // diameter on every delete would be O(n²)); similarity stays
-        // well-defined, merely slightly conservative.
+        // Only a leaving point at distance `dmax` from a stored one, an
+        // end of a diametral pair, can shrink the diameter; then it is
+        // recomputed from the tree.
+        let _stage = timer.handoff(Stage::DmaxUpdate);
+        for ((kind, tree), dmax) in FeatureKind::ALL
+            .into_iter()
+            .zip(&self.indexes)
+            .zip(&mut self.dmax)
+        {
+            if *dmax > 0.0 && tree.farthest(shape.features.get(kind), *dmax) >= *dmax {
+                *dmax = tree.diameter(0.0);
+            }
+        }
         Ok(shape)
     }
 
@@ -491,7 +499,7 @@ impl ShapeDatabase {
             // of the index traversal for stage accounting.
             let timer = StageTimer::start(Stage::IndexSearch);
             let mut hits: Vec<SearchHit> = self
-                .shapes
+                .shapes()
                 .iter()
                 .map(|s| {
                     stats.entries_checked += 1;
@@ -527,7 +535,7 @@ impl ShapeDatabase {
     ) -> Vec<SearchHit> {
         let timer = StageTimer::start(Stage::IndexSearch);
         let mut hits: Vec<SearchHit> = self
-            .shapes
+            .shapes()
             .iter()
             .map(|s| {
                 stats.entries_checked += 1;
@@ -540,7 +548,7 @@ impl ShapeDatabase {
             })
             // hotpath: allow(hot-alloc) — the sorted hit list is the returned artifact
             .collect();
-        tag_index_search(query.kind, self.shapes.len());
+        tag_index_search(query.kind, self.len());
         let _stage = timer.handoff(Stage::SimilarityCombine);
         hits.sort_by(|a, b| a.distance.total_cmp(&b.distance));
         hits
@@ -556,13 +564,13 @@ impl ShapeDatabase {
     /// dominate. Returns unit weights if fewer than two shapes are
     /// stored or every dimension is constant.
     pub fn standardized_weights(&self, kind: FeatureKind) -> Weights {
-        if self.shapes.len() < 2 {
+        if self.len() < 2 {
             return Weights::unit();
         }
         let dim = self.extractor.dim(kind);
-        let n = self.shapes.len() as f64;
+        let n = self.len() as f64;
         let mut mean = vec![0.0; dim];
-        for s in &self.shapes {
+        for s in self.shapes() {
             for (m, v) in mean.iter_mut().zip(s.features.get(kind)) {
                 *m += v;
             }
@@ -571,7 +579,7 @@ impl ShapeDatabase {
             *m /= n;
         }
         let mut var = vec![0.0; dim];
-        for s in &self.shapes {
+        for s in self.shapes() {
             for d in 0..dim {
                 var[d] += (s.features.get(kind)[d] - mean[d]).powi(2);
             }
@@ -607,32 +615,13 @@ fn tag_index_search(kind: FeatureKind, entries_checked: usize) {
     tdess_obs::annotate("entries_checked", TagValue::U64(entries_checked as u64));
 }
 
-/// The id array of loaded shapes, rejecting ids the lookups cannot
-/// serve: they must be strictly ascending, and below `next_id` so the
-/// next insert keeps them ascending.
-fn ids_in_order(shapes: &[Arc<StoredShape>], next_id: ShapeId) -> Result<Vec<ShapeId>, String> {
-    let ids: Vec<ShapeId> = shapes.iter().map(|s| s.id).collect();
-    if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
-        return Err(format!(
-            "shape ids not strictly ascending: {} follows {}",
-            w[1], w[0]
-        ));
-    }
-    match ids.last() {
-        Some(&last) if next_id <= last => Err(format!(
-            "next_id {next_id} would collide with stored id {last}"
-        )),
-        _ => Ok(ids),
-    }
-}
-
 /// Builds every feature space's R-tree from `shapes` with the STR bulk
 /// loader. The seven spaces are independent, so their trees build on
 /// separate scoped threads (auto-joined); each build is
 /// deterministic, so the parallelism cannot change results.
 fn build_indexes(
     extractor: &FeatureExtractor,
-    shapes: &[Arc<StoredShape>],
+    shapes: Shapes<'_>,
     config: RTreeConfig,
 ) -> [RTree<ShapeId>; FeatureKind::ALL.len()] {
     std::thread::scope(|scope| {

@@ -6,7 +6,8 @@
 //!
 //! * **database** ([`db`]) — shape storage, feature extraction on
 //!   insert, one R-tree per feature space, one-shot query processing
-//!   (top-k and similarity-threshold, Eq. 4.3–4.4);
+//!   (top-k and similarity-threshold, Eq. 4.3–4.4); the stored shapes
+//!   sit in chunks that snapshots share ([`shapes`]);
 //! * **multi-step search** ([`multistep`]) — §4.2's candidate
 //!   retrieval + re-ranking strategy;
 //! * **relevance feedback** ([`feedback`]) — query reconstruction and
@@ -35,6 +36,7 @@ pub mod le;
 pub mod multistep;
 pub mod persist;
 pub mod server;
+pub mod shapes;
 pub mod similarity;
 pub mod snapshot;
 
@@ -47,6 +49,7 @@ pub use persist::{
     FileOp, PersistError, SnapshotFormat,
 };
 pub use server::{bulk_insert, SearchServer, ServerMetrics};
+pub use shapes::Shapes;
 pub use similarity::{similarity, threshold_to_radius, weighted_distance, Weights};
 pub use snapshot::{
     check_vector, checksum64, load_binary, load_binary_bytes, save_binary, SNAPSHOT_MAGIC,

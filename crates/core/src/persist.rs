@@ -259,7 +259,7 @@ pub fn save<W: Write>(db: &ShapeDatabase, w: W) -> Result<(), PersistError> {
         next_id: db.next_id(),
         config: db.index_config(),
         dmax: FeatureKind::ALL.map(|kind| (kind, db.dmax(kind))).into(),
-        shapes: db.shapes().to_vec(),
+        shapes: db.shapes().iter().cloned().collect(),
     };
     serde_json::to_writer(w, &json)?;
     Ok(())

@@ -16,12 +16,17 @@
 //!   snapshot from the current one, apply the write to it, and
 //!   publish it with a pointer swap — a search in flight never delays
 //!   an insert, and an insert never delays a search. Deriving shares
-//!   structure (see [`ShapeDatabase`]'s "Cloning"): it copies the list
-//!   of shape pointers, and the write then copies only the R-tree
-//!   nodes on the paths it changes — never a mesh, a feature vector or
-//!   an untouched node, so a write costs what it changes rather than
-//!   the size of the database. The replaced snapshot is released after
-//!   the swap, outside the lock readers take;
+//!   structure (see [`ShapeDatabase`]'s "Cloning"): it copies one
+//!   pointer per chunk of a few hundred shapes, and the write then
+//!   copies only the chunk it changes and the R-tree nodes on the
+//!   paths it changes — never a mesh, a feature vector or an untouched
+//!   node. `dmax` is kept exact by tree queries, so a write costs what
+//!   it changes rather than the size of the database, except for a
+//!   remove of a point that spans a diameter, which recomputes that
+//!   space's diameter. The stages `snapshot_clone`, `dmax_update`,
+//!   `index_update` and `publish` time each write. The replaced
+//!   snapshot is released after the swap, outside the lock readers
+//!   take;
 //! * [`ServerMetrics`] — queries served, aggregated index-traversal
 //!   counters and the snapshot-swap count, kept in lock-free counters
 //!   and read via [`SearchServer::metrics`]. The server does not time
@@ -152,8 +157,9 @@ impl SearchServer {
     /// Publishes a new snapshot (callers hold the writer mutex). The
     /// replaced snapshot is dropped on return, after the swap's lock
     /// is released, so readers never wait while whatever it alone
-    /// owned is freed.
+    /// owned is freed; the `publish` stage times the drop too.
     fn publish(&self, db: ShapeDatabase) {
+        let _stage = StageTimer::start(Stage::Publish);
         let next = Arc::new(db);
         // hotpath: allow(hot-block) — one pointer swap under the writer mutex; the old snapshot drops after the lock is released
         let _previous = std::mem::replace(&mut *self.inner.snapshot.write(), next);
@@ -169,8 +175,11 @@ impl SearchServer {
     ) -> Result<R, DbError> {
         // hotpath: allow(hot-block) — write-lock guards the single-writer database update
         let _writer = self.inner.writer.lock();
-        // hotpath: allow(hot-alloc) — derives the next snapshot: copies the shape pointer list, shares every tree node
-        let mut db = (*self.snapshot()).clone();
+        let mut db = {
+            let _stage = StageTimer::start(Stage::SnapshotClone);
+            // hotpath: allow(hot-alloc) — derives the next snapshot: copies one pointer per shape chunk, shares every shape and tree node
+            (*self.snapshot()).clone()
+        };
         let out = apply(&mut db)?;
         self.publish(db);
         Ok(out)
@@ -659,22 +668,28 @@ mod tests {
         assert_eq!(s.entries, 1);
     }
 
+    /// Sample counts of the query stages (`write == false`) or the
+    /// write stages, in [`Stage::ALL`] order.
+    fn stage_counts(write: bool) -> Vec<(Stage, u64)> {
+        Stage::ALL
+            .into_iter()
+            .filter(|s| s.is_write() == write)
+            .map(|s| (s, tdess_obs::stage_histogram(s).snapshot().count()))
+            .collect()
+    }
+
     /// Regression for the `tab_obs_overhead` blind spot where the
     /// query loop used pre-extracted features and `query_extract` (and
     /// every extraction stage under it) recorded zero samples: a mesh
-    /// query must bump *every* stage it passes through. Deltas, not
-    /// absolute counts — the stage histograms are process-wide and
+    /// query must bump *every* query stage it passes through. Deltas,
+    /// not absolute counts — the stage histograms are process-wide and
     /// other tests in this binary record into them concurrently.
     #[test]
-    fn every_stage_hit_by_a_mesh_query_records_samples() {
-        use tdess_obs::stage_histogram;
+    fn every_query_stage_hit_by_a_mesh_query_records_samples() {
         let mut db = ShapeDatabase::new(extractor());
         bulk_insert(&mut db, meshes(4), 2).unwrap();
         let server = SearchServer::new(db);
-        let before: Vec<u64> = Stage::ALL
-            .iter()
-            .map(|&s| stage_histogram(s).snapshot().count())
-            .collect();
+        let before = stage_counts(false);
 
         let mesh = primitives::box_mesh(Vec3::new(2.0, 1.0, 0.5));
         server
@@ -692,12 +707,36 @@ mod tests {
             )
             .unwrap();
 
-        for (i, &s) in Stage::ALL.iter().enumerate() {
-            let after = stage_histogram(s).snapshot().count();
+        for ((s, before), (_, after)) in before.into_iter().zip(stage_counts(false)) {
             assert!(
-                after > before[i],
+                after > before,
                 "stage {} recorded no samples for a mesh query",
                 Stage::name(s)
+            );
+        }
+    }
+
+    /// An insert and a remove through the server must bump every write
+    /// stage: deriving the snapshot, `dmax`, the trees and publishing.
+    #[test]
+    fn every_write_stage_hit_by_an_insert_and_a_remove_records_samples() {
+        let mut db = ShapeDatabase::new(extractor());
+        bulk_insert(&mut db, meshes(4), 2).unwrap();
+        let server = SearchServer::new(db);
+        let before = stage_counts(true);
+        assert_eq!(before.len(), 4);
+
+        let id = server
+            .insert("ring", primitives::torus(1.5, 0.4, 16, 8))
+            .unwrap();
+        server.remove(id).unwrap();
+
+        for ((s, before), (_, after)) in before.into_iter().zip(stage_counts(true)) {
+            assert!(
+                after >= before + 2,
+                "stage {} recorded {} samples for an insert and a remove",
+                Stage::name(s),
+                after - before
             );
         }
     }

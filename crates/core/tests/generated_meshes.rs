@@ -7,7 +7,9 @@
 //! Every mesh passes `TriMesh::check_input`, as a mesh reader would
 //! demand. Each must get finite distances and similarities in all
 //! seven spaces or `DbError::Extraction`, and its insert must succeed
-//! or fail the same way. Afterwards every `dmax` is finite and the
+//! or fail the same way. Every third accepted insert is removed again.
+//! Every `dmax` stays finite and the exact diameter of its space
+//! (checked every [`CHECK_EVERY`] removes and at the end), and the
 //! database survives a TDSS round trip. A panic fails the test.
 //!
 //! `TDESS_GENERATED_MESHES` sets the mesh count (default 360); a
@@ -22,6 +24,10 @@ use tdess_features::{FeatureExtractor, FeatureKind};
 use tdess_geom::{primitives, TriMesh, Vec3};
 
 const SEED: u64 = 0x1bad_cafe;
+
+/// Removes between two checks of the database's invariants, `dmax`
+/// included: each check recomputes every diameter.
+const CHECK_EVERY: usize = 16;
 
 /// `10^e` with `e` drawn from `lo..=hi`, with a random sign.
 fn power(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
@@ -129,7 +135,7 @@ fn every_generated_mesh_gets_finite_answers_or_a_typed_error() {
     let server = SearchServer::with_cache(db, CacheConfig::default());
 
     let mut rng = StdRng::seed_from_u64(SEED);
-    let (mut answered, mut refused, mut inserted) = (0usize, 0usize, 0usize);
+    let (mut answered, mut refused, mut inserted, mut removed) = (0usize, 0usize, 0usize, 0usize);
     for i in 0..count {
         let mesh = generate(&mut rng, i);
         mesh.check_input()
@@ -150,18 +156,29 @@ fn every_generated_mesh_gets_finite_answers_or_a_typed_error() {
             }
         }
         match server.insert(format!("generated-{i}"), mesh) {
-            Ok(_) => inserted += 1,
+            Ok(id) => {
+                inserted += 1;
+                if inserted % 3 == 0 {
+                    server
+                        .remove(id)
+                        .unwrap_or_else(|e| panic!("mesh {i}: remove failed with {e:?}"));
+                    removed += 1;
+                    if removed % CHECK_EVERY == 0 {
+                        check(&server.snapshot(), i);
+                    }
+                }
+            }
             Err(DbError::Extraction(_)) => {}
             Err(e) => panic!("mesh {i}: insert failed with {e:?}"),
         }
     }
-    eprintln!("{count} meshes: {answered} answers, {refused} typed errors, {inserted} inserted");
+    eprintln!(
+        "{count} meshes: {answered} answers, {refused} typed errors, \
+         {inserted} inserted, {removed} removed again"
+    );
 
     let snapshot = server.snapshot();
-    for kind in FeatureKind::ALL {
-        let dmax = snapshot.dmax(kind);
-        assert!(dmax.is_finite() && dmax >= 0.0, "{kind:?}: dmax {dmax}");
-    }
+    check(&snapshot, count);
     let path = std::env::temp_dir().join(format!(
         "tdess_generated_meshes_{}.tdss",
         std::process::id()
@@ -170,4 +187,18 @@ fn every_generated_mesh_gets_finite_answers_or_a_typed_error() {
     let loaded = load_from_path(&path);
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded.unwrap().len(), snapshot.len());
+}
+
+/// Every `dmax` is finite, and the database's invariants hold: each
+/// `dmax` has the bits of its space's exact diameter.
+fn check(db: &ShapeDatabase, after: usize) {
+    for kind in FeatureKind::ALL {
+        let dmax = db.dmax(kind);
+        assert!(
+            dmax.is_finite() && dmax >= 0.0,
+            "{kind:?}: dmax {dmax} after mesh {after}"
+        );
+    }
+    db.check_invariants()
+        .unwrap_or_else(|e| panic!("after mesh {after}: {e}"));
 }

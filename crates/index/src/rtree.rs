@@ -13,7 +13,8 @@
 //! Supports the paper's two query types, similarity-ball queries and
 //! best-first k-nearest-neighbor search with MINDIST pruning
 //! (Roussopoulos et al. / Hjaltason & Samet), plus the exact diameter
-//! of the stored points by a dual-tree branch and bound. Queries are
+//! of the stored points by a dual-tree branch and bound and the
+//! farthest stored point from a query by best-first MAXDIST. Queries are
 //! instrumented with node-access counters so the index-efficiency
 //! experiment can compare against a linear scan.
 //!
@@ -692,11 +693,15 @@ impl<T: Clone> RTree<T> {
         }
         let beats = |bound: f64, best: f64| bound > best && bound.sqrt() > at_least;
         let (dim, width) = (self.dim, 2 * self.dim);
+        // hotpath: allow(hot-alloc) — a remove recomputes a diameter only when it takes away an end of one
         let mut root_box = vec![0.0; width];
         self.root.bounds_into(dim, &mut root_box);
         let root = (root_box.as_slice(), &self.root);
         let mut pairs = BinaryHeap::new();
-        pairs.push((max_dist_sq(root.0, root.0).to_bits(), Carried((root, root))));
+        pairs.push((
+            max_dist_sq(corners(root.0), root.0).to_bits(),
+            Carried((root, root)),
+        ));
         while let Some((bound, Carried((a, b)))) = pairs.pop() {
             if !beats(f64::from_bits(bound), best) {
                 break;
@@ -729,7 +734,7 @@ impl<T: Clone> RTree<T> {
                     .zip(ys)
                     .skip(if same { i } else { 0 })
                 {
-                    let bound = max_dist_sq(x.0, y.0);
+                    let bound = max_dist_sq(corners(x.0), y.0);
                     if beats(bound, best) {
                         pairs.push((bound.to_bits(), Carried((x, y))));
                     }
@@ -737,6 +742,47 @@ impl<T: Clone> RTree<T> {
             }
         }
         f64::sqrt(best).max(at_least)
+    }
+
+    /// The largest Euclidean distance from `q` to a stored point, bit
+    /// for bit the maximum of `sqrt(Σ (qᵢ − pᵢ)²)` summed in axis
+    /// order, whenever that maximum is at least `at_least`; otherwise
+    /// some value below `at_least` (0 for an empty tree).
+    ///
+    /// Nodes are visited farthest first by squared MAXDIST from `q`
+    /// ([`max_dist_sq`], with `q` as a degenerate box), and one is
+    /// skipped only when its bound cannot reach `at_least` or exceed
+    /// the farthest point found so far. A bound equal to `at_least` is
+    /// kept, so a point exactly `at_least` away is found. Rounding is
+    /// monotone, so no point inside a skipped box is farther in
+    /// floating point either.
+    pub fn farthest(&self, q: &[f64], at_least: f64) -> f64 {
+        assert_eq!(q.len(), self.dim, "query dimension mismatch");
+        let mut best = 0.0;
+        let beats = |bound: f64, best: f64| bound > best && bound.sqrt() >= at_least;
+        let mut nodes = BinaryHeap::new();
+        nodes.push((f64::INFINITY.to_bits(), Carried(&self.root)));
+        while let Some((bound, Carried(node))) = nodes.pop() {
+            if !beats(f64::from_bits(bound), best) {
+                break;
+            }
+            match node {
+                Node::Leaf { points, .. } => {
+                    for p in points.chunks_exact(self.dim) {
+                        best = f64::max(best, dist_sq(q, p));
+                    }
+                }
+                Node::Inner { boxes, children } => {
+                    for (b, child) in boxes.chunks_exact(2 * self.dim).zip(children.iter()) {
+                        let bound = max_dist_sq((q, q), b);
+                        if beats(bound, best) {
+                            nodes.push((bound.to_bits(), Carried(child)));
+                        }
+                    }
+                }
+            }
+        }
+        best.sqrt()
     }
 
     /// Iterates over all stored (point, payload) pairs.
@@ -959,12 +1005,13 @@ fn contains(b: &[f64], p: &[f64]) -> bool {
         .all(|((lo, hi), x)| lo <= x && x <= hi)
 }
 
-/// Squared MAXDIST between two boxes: the squared distance of their
-/// farthest corners. Rounding is monotone, so no two points inside the
-/// boxes are farther apart in floating point either
-/// ([`RTree::diameter`] prunes on this bound).
-fn max_dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    let ((a_lo, a_hi), (b_lo, b_hi)) = (corners(a), corners(b));
+/// Squared MAXDIST between two boxes, the first given by its corners
+/// (a point is both): the squared distance of their farthest corners.
+/// Rounding is monotone, so no two points inside the boxes are farther
+/// apart in floating point either ([`RTree::diameter`] and
+/// [`RTree::farthest`] prune on this bound).
+fn max_dist_sq((a_lo, a_hi): (&[f64], &[f64]), b: &[f64]) -> f64 {
+    let (b_lo, b_hi) = corners(b);
     let mut acc = 0.0;
     for d in 0..a_lo.len() {
         let far = (a_hi[d] - b_lo[d]).abs().max((b_hi[d] - a_lo[d]).abs());
@@ -1682,6 +1729,21 @@ mod tests {
         }
     }
 
+    /// `farthest` finds nothing in an empty tree, and the one point of
+    /// a single-point tree, a tie with `at_least` included.
+    #[test]
+    fn farthest_on_empty_and_single_point_trees() {
+        let empty: RTree<usize> = RTree::with_dim(3);
+        assert_eq!(empty.farthest(&[1.0, 2.0, 3.0], 0.0), 0.0);
+        assert!(empty.farthest(&[1.0, 2.0, 3.0], 1.0) < 1.0);
+        let mut one: RTree<usize> = RTree::with_dim(2);
+        one.insert(vec![3.0, 4.0], 0);
+        assert_eq!(one.farthest(&[0.0, 0.0], 0.0), 5.0);
+        assert_eq!(one.farthest(&[0.0, 0.0], 5.0), 5.0);
+        assert!(one.farthest(&[0.0, 0.0], 5.5) < 5.5);
+        assert_eq!(one.farthest(&[3.0, 4.0], 0.0), 0.0);
+    }
+
     /// Splits cut along the widest axis: points spread along axis 2
     /// only (axes 0 and 1 constant) are split into two runs on that
     /// axis, not across it.
@@ -1872,10 +1934,12 @@ mod tests {
         let a = [0.0, 0.0, 1.0, 1.0];
         let b = [3.0, -1.0, 4.0, 0.5];
         // x: 4 − 0; y: max(0.5 − 0, 1 − (−1)) = 2.
-        assert_eq!(max_dist_sq(&a, &b), 16.0 + 4.0);
-        assert_eq!(max_dist_sq(&a, &b), max_dist_sq(&b, &a));
+        assert_eq!(max_dist_sq(corners(&a), &b), 16.0 + 4.0);
+        assert_eq!(max_dist_sq(corners(&a), &b), max_dist_sq(corners(&b), &a));
         // A box against itself: its squared diagonal.
-        assert_eq!(max_dist_sq(&a, &a), 2.0);
+        assert_eq!(max_dist_sq(corners(&a), &a), 2.0);
+        // A point against a box: its farthest corner.
+        assert_eq!(max_dist_sq((&[2.0, 0.0], &[2.0, 0.0]), &a), 4.0 + 1.0);
     }
 
     #[test]

@@ -226,23 +226,29 @@ fn arb_feature_points(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
         })
 }
 
-/// The largest pairwise distance, summed in axis order.
+/// The Euclidean distance, summed in axis order.
+fn distance(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// The largest pairwise distance.
 fn brute_force_diameter(points: &[&[f64]]) -> f64 {
     let mut full = 0.0f64;
     for (i, a) in points.iter().enumerate() {
         for b in &points[i + 1..] {
-            let d = a
-                .iter()
-                .zip(*b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt();
-            if d > full {
-                full = d;
-            }
+            full = full.max(distance(a, b));
         }
     }
     full
+}
+
+/// The largest distance from `q` to a point.
+fn brute_force_farthest(points: &[&[f64]], q: &[f64]) -> f64 {
+    points.iter().map(|p| distance(q, p)).fold(0.0, f64::max)
 }
 
 proptest! {
@@ -252,8 +258,10 @@ proptest! {
     /// STR bulk loading, one insert at a time, and bulk loading
     /// followed by inserts and removes — answer `knn` and
     /// `within_distance` exactly as the linear scan does (payloads,
-    /// order and distance bits), and `diameter` is the brute-force
-    /// pairwise maximum bit for bit.
+    /// order and distance bits), `diameter` is the brute-force
+    /// pairwise maximum bit for bit, and `farthest` the brute-force
+    /// maximum distance from the query bit for bit, also when
+    /// `at_least` ties with it.
     #[test]
     fn high_dimensional_trees_match_linear_however_built(
         dim in 0usize..6,
@@ -292,6 +300,7 @@ proptest! {
         let between: Vec<f64> = stored.iter().zip(&pts[0]).map(|(a, b)| 0.5 * (a + b)).collect();
         for (tree, scan) in routes {
             tree.check_invariants().map_err(TestCaseError::fail)?;
+            let points: Vec<&[f64]> = scan.iter().map(|(p, _)| p).collect();
             for q in [&stored, &between] {
                 let mut s = QueryStats::default();
                 prop_assert_eq!(bits(&tree.knn(q, k, &mut s)), bits(&scan.knn(q, k, &mut s)));
@@ -299,8 +308,16 @@ proptest! {
                     bits(&tree.within_distance(q, r, &mut s)),
                     bits(&scan.within_distance(q, r, &mut s))
                 );
+                let far = brute_force_farthest(&points, q);
+                for at_least in [0.0, far, r] {
+                    let got = tree.farthest(q, at_least);
+                    if far >= at_least {
+                        prop_assert_eq!(got.to_bits(), far.to_bits(), "at_least {}", at_least);
+                    } else {
+                        prop_assert!(got < at_least, "{} for at_least {}", got, at_least);
+                    }
+                }
             }
-            let points: Vec<&[f64]> = scan.iter().map(|(p, _)| p).collect();
             prop_assert_eq!(tree.diameter(0.0).to_bits(), brute_force_diameter(&points).to_bits());
         }
     }

@@ -11,12 +11,15 @@ use crate::hist::{Histogram, HistogramSnapshot};
 use crate::trace::{enabled, Level};
 use std::time::Instant;
 
-/// The instrumented stages of the extraction pipeline and query path.
+/// The instrumented stages of the extraction pipeline, the query path
+/// and the write path.
 ///
 /// Extraction stages follow the paper's flow (pose normalization →
 /// voxelization → skeletonization → graph build → eigenvalues); query
 /// stages cover feature extraction, index search, similarity
-/// combination, and multi-step re-ranking.
+/// combination, and multi-step re-ranking; write stages cover an
+/// insert or remove through the server, from deriving the next
+/// snapshot to publishing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// PCA pose normalization of the input mesh.
@@ -38,11 +41,19 @@ pub enum Stage {
     SimilarityCombine,
     /// Multi-step strategy re-ranking passes after the first step.
     Rerank,
+    /// Deriving the next database snapshot from the current one.
+    SnapshotClone,
+    /// Keeping each space's `dmax` the exact diameter after a write.
+    DmaxUpdate,
+    /// R-tree inserts or removes for one write.
+    IndexUpdate,
+    /// Swapping in the new snapshot and dropping the replaced one.
+    Publish,
 }
 
 impl Stage {
-    /// Every stage, in pipeline-then-query order.
-    pub const ALL: [Stage; 9] = [
+    /// Every stage: pipeline, then query, then write stages.
+    pub const ALL: [Stage; 13] = [
         Stage::Normalize,
         Stage::Voxelize,
         Stage::Skeletonize,
@@ -52,7 +63,20 @@ impl Stage {
         Stage::IndexSearch,
         Stage::SimilarityCombine,
         Stage::Rerank,
+        Stage::SnapshotClone,
+        Stage::DmaxUpdate,
+        Stage::IndexUpdate,
+        Stage::Publish,
     ];
+
+    /// Whether this stage times part of a write rather than of an
+    /// extraction or a query.
+    pub fn is_write(self) -> bool {
+        matches!(
+            self,
+            Stage::SnapshotClone | Stage::DmaxUpdate | Stage::IndexUpdate | Stage::Publish
+        )
+    }
 
     /// Stable snake_case name used in wire payloads and metric labels.
     pub fn name(self) -> &'static str {
@@ -66,11 +90,19 @@ impl Stage {
             Stage::IndexSearch => "index_search",
             Stage::SimilarityCombine => "similarity_combine",
             Stage::Rerank => "rerank",
+            Stage::SnapshotClone => "snapshot_clone",
+            Stage::DmaxUpdate => "dmax_update",
+            Stage::IndexUpdate => "index_update",
+            Stage::Publish => "publish",
         }
     }
 }
 
-static STAGE_HISTS: [Histogram; 9] = [
+static STAGE_HISTS: [Histogram; Stage::ALL.len()] = [
+    Histogram::new(),
+    Histogram::new(),
+    Histogram::new(),
+    Histogram::new(),
     Histogram::new(),
     Histogram::new(),
     Histogram::new(),

@@ -7,8 +7,8 @@
 //! the hot path*:
 //!
 //! * **roots** — every function whose body starts a stage timer
-//!   (`StageTimer::start(`), i.e. the nine instrumented pipeline
-//!   stages, plus the net request-dispatch path (`dispatch` /
+//!   (`StageTimer::start(`), i.e. the instrumented pipeline, query
+//!   and write stages, plus the net request-dispatch path (`dispatch` /
 //!   `serve_request` in `crates/net/src/`);
 //! * **edges** — the shared graph's name-resolved call edges (see
 //!   `graph.rs` for the resolution rules and their deliberate
